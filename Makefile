@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-paper fuzz vet lint fmt examples clean check chaos stress writers externalcheck crash cluster
+.PHONY: all build test test-race bench bench-paper bench-json fuzz vet lint fmt examples clean check chaos stress writers externalcheck crash cluster
 
 all: build test
 
@@ -89,6 +89,12 @@ bench:
 LEVEL ?= 4
 bench-paper:
 	$(GO) run ./cmd/hyperbench -level $(LEVEL)
+
+# The repository's own benchmark (bench/README.md): every workload,
+# both passes and the probes, as one JSON report for `go run ./bench
+# -compare`. Diagnostics go to standard error.
+bench-json:
+	bash bench/run.sh > BENCH.json
 
 # Short fuzz pass over every fuzz target.
 fuzz:

@@ -90,7 +90,12 @@ func main() {
 	}
 	cfg := harness.Config{Iterations: *iters, Seed: *seed, Depth: *depth}
 	if *opsList != "" {
-		cfg.Ops = strings.Split(*opsList, ",")
+		for _, o := range strings.Split(*opsList, ",") {
+			cfg.Ops = append(cfg.Ops, strings.TrimSpace(o))
+		}
+		if err := harness.CheckOps(cfg.Ops); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }

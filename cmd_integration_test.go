@@ -1,6 +1,7 @@
 package hypermodel_test
 
 import (
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -162,6 +163,17 @@ func TestHyperbenchTool(t *testing.T) {
 	for _, want := range []string{"E2–E10: operations — oodb", "nameLookup", "closure1N", "ms/node"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("hyperbench output missing %q:\n%s", want, out)
+		}
+	}
+	// An operation that does not exist is an error naming the valid ones,
+	// not an empty table.
+	bad, err := exec.Command(bin, "-level", "2", "-backends", "memdb", "-exp", "ops", "-ops", "O1,O99").CombinedOutput()
+	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("hyperbench -ops O1,O99: %v, want exit status 1\n%s", err, bad)
+	}
+	for _, want := range []string{`unknown operation "O99"`, "O5A", "O18"} {
+		if !strings.Contains(string(bad), want) {
+			t.Fatalf("hyperbench -ops O1,O99 output missing %q:\n%s", want, bad)
 		}
 	}
 	// CSV emission.

@@ -491,6 +491,34 @@ func testSeqScan(t *testing.T, cfg Config) {
 	if err != nil || count != 30 {
 		t.Fatalf("bounded scan visited %d (%v), want 30", count, err)
 	}
+	// ScanTen itself: ascending uniqueIds, both bounds inclusive, each
+	// node's own ten attribute, and not one visit after visit says stop.
+	const lo, hi, stopAt = hyper.NodeID(5), hyper.NodeID(40), hyper.NodeID(17)
+	var visited []hyper.NodeID
+	var tens []int32
+	err = b.ScanTen(lo, hi, func(id hyper.NodeID, ten int32) bool {
+		visited, tens = append(visited, id), append(tens, ten)
+		return true
+	})
+	if err != nil || len(visited) != int(hi-lo)+1 {
+		t.Fatalf("ScanTen(%d, %d) visited %d nodes (%v)", lo, hi, len(visited), err)
+	}
+	for i, id := range visited {
+		if id != lo+hyper.NodeID(i) {
+			t.Fatalf("ScanTen(%d, %d) visit %d is node %d", lo, hi, i, id)
+		}
+		if n, err := b.Node(id); err != nil || n.Ten != tens[i] {
+			t.Fatalf("scan reported ten %d for node %d, Node says %d (%v)", tens[i], id, n.Ten, err)
+		}
+	}
+	visited = visited[:0]
+	err = b.ScanTen(lo, hi, func(id hyper.NodeID, _ int32) bool {
+		visited = append(visited, id)
+		return id != stopAt
+	})
+	if err != nil || len(visited) != int(stopAt-lo)+1 || visited[len(visited)-1] != stopAt {
+		t.Fatalf("ScanTen told to stop at %d visited %v (%v)", stopAt, visited, err)
+	}
 }
 
 func testClosure1N(t *testing.T, cfg Config) {

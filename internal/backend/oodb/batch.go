@@ -7,14 +7,19 @@ import (
 
 var _ hyper.FrontierPrefetcher = (*DB)(nil)
 
-// Batched reads (hyper.BatchReader): the object store's GetBatch visits
+// Batched reads (hyper.BatchReader): the object store's ViewBatch visits
 // a frontier's objects grouped by data page, so each page is fetched
-// and decoded from the buffer pool once per batch — and over the page
-// server, all of a frontier's missing pages arrive in one framed round
-// trip instead of one per object.
+// and pinned once per batch — and over the page server, all of a
+// frontier's missing pages arrive in one framed round trip instead of
+// one per object.
 
-// loadBatch activates every listed node's object, objs[i] for ids[i].
-func (d *DB) loadBatch(ids []hyper.NodeID) ([]*object, error) {
+// viewBatch activates every listed node's object and returns
+// get(i, view of ids[i]) for each, decoded in place under view's
+// contract.
+func viewBatch[T any](d *DB, ids []hyper.NodeID, get func(i int, v objView) T) ([]T, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
 	oids := make([]objstore.OID, len(ids))
 	for i, id := range ids {
 		oid, err := d.oidOf(id)
@@ -23,20 +28,19 @@ func (d *DB) loadBatch(ids []hyper.NodeID) ([]*object, error) {
 		}
 		oids[i] = oid
 	}
-	datas, err := d.objs.GetBatch(oids)
+	out := make([]T, len(ids))
+	err := d.objs.ViewBatch(oids, func(i int, data []byte) error {
+		v, err := parseObject(data)
+		if err != nil {
+			return &hyper.BatchError{Index: i, Err: err}
+		}
+		out[i] = get(i, v)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]*object, len(ids))
-	for i, data := range datas {
-		o, err := decodeObject(data)
-		if err != nil {
-			return nil, &hyper.BatchError{Index: i, Err: err}
-		}
-		d.noteObject(oids[i], o)
-		objs[i] = o
-	}
-	return objs, nil
+	return out, nil
 }
 
 // PrefetchFrontier (hyper.FrontierPrefetcher) starts warming the page
@@ -59,92 +63,37 @@ func (d *DB) PrefetchFrontier(ids []hyper.NodeID) (wait func() error) {
 
 // NodesBatch returns the attributes of each listed node.
 func (d *DB) NodesBatch(ids []hyper.NodeID) ([]hyper.Node, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.Node, len(ids))
-	for i, o := range objs {
-		out[i] = o.node
-	}
-	return out, nil
+	return viewBatch(d, ids, func(_ int, v objView) hyper.Node { return v.node() })
 }
 
 // HundredBatch returns the hundred attribute of each listed node.
 func (d *DB) HundredBatch(ids []hyper.NodeID) ([]int32, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(ids))
-	for i, o := range objs {
-		out[i] = o.node.Hundred
-	}
-	return out, nil
+	return viewBatch(d, ids, func(_ int, v objView) int32 { return v.hundred() })
+}
+
+// relatedBatch returns the uniqueIds one relationship section of each
+// listed node points at.
+func (d *DB) relatedBatch(ids []hyper.NodeID, r relation) ([][]hyper.NodeID, error) {
+	return viewBatch(d, ids, func(_ int, v objView) []hyper.NodeID {
+		d.learn(v, r)
+		return v.ids(r)
+	})
 }
 
 // ChildrenBatch returns each node's ordered children.
 func (d *DB) ChildrenBatch(ids []hyper.NodeID) ([][]hyper.NodeID, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]hyper.NodeID, len(ids))
-	for i, o := range objs {
-		kids := make([]hyper.NodeID, len(o.children))
-		for j, r := range o.children {
-			kids[j] = r.id
-		}
-		out[i] = kids
-	}
-	return out, nil
+	return d.relatedBatch(ids, relChildren)
 }
 
 // PartsBatch returns each node's M-N parts.
 func (d *DB) PartsBatch(ids []hyper.NodeID) ([][]hyper.NodeID, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]hyper.NodeID, len(ids))
-	for i, o := range objs {
-		parts := make([]hyper.NodeID, len(o.parts))
-		for j, r := range o.parts {
-			parts[j] = r.id
-		}
-		out[i] = parts
-	}
-	return out, nil
+	return d.relatedBatch(ids, relParts)
 }
 
 // RefsToBatch returns each node's outgoing association edges.
 func (d *DB) RefsToBatch(ids []hyper.NodeID) ([][]hyper.Edge, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]hyper.Edge, len(ids))
-	for i, o := range objs {
-		edges := make([]hyper.Edge, len(o.refsTo))
-		for j, e := range o.refsTo {
-			edges[j] = hyper.Edge{From: ids[i], To: e.id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-		}
-		out[i] = edges
-	}
-	return out, nil
+	return viewBatch(d, ids, func(i int, v objView) []hyper.Edge {
+		d.learn(v, relRefsTo)
+		return v.edges(relRefsTo, ids[i])
+	})
 }

@@ -77,17 +77,18 @@ type DB struct {
 	cat   *btree.Tree // dynamic schema catalog
 
 	// oidCache short-circuits uniqueId → OID resolution with mappings
-	// learned from activated objects, whose relationship collections
-	// already carry the target OIDs — navigating a loaded object's refs
-	// skips the uniq index entirely, like a real OODB's pointer
-	// traversal. Nodes are never deleted, so committed mappings cannot
-	// go stale; the cache is dropped whenever a transaction's reads may
-	// have been invalid (Abort, failed Commit) and on DropCaches, which
-	// promises a genuinely cold next run.
+	// read from storage: answers of uniq index probes, and the targets
+	// of relationship sections handed to a caller, whose entries already
+	// carry the target OIDs — navigating a returned relationship skips
+	// the uniq index entirely, like a real OODB's pointer traversal.
+	// Nodes are never deleted, so committed mappings cannot go stale; the
+	// cache is dropped whenever a transaction's reads may have been
+	// invalid (Abort, failed Commit) and on DropCaches, which promises a
+	// genuinely cold next run.
 	//
-	// oidMu guards oidCache: every object activation writes learned
-	// mappings into it, so even read-only operations mutate the map and
-	// concurrent readers sharing one DB would race without it.
+	// oidMu guards oidCache: reads learn mappings too, so even read-only
+	// operations mutate the map and concurrent readers sharing one DB
+	// would race without it.
 	oidMu    sync.Mutex
 	oidCache map[hyper.NodeID]uint64
 
@@ -170,6 +171,8 @@ func (d *DB) Name() string { return "oodb" }
 // Store exposes the underlying page space (harness diagnostics).
 func (d *DB) Store() Space { return d.st }
 
+// oidOf resolves a uniqueId to its OID: from the cache, or by a uniq
+// index probe whose answer the cache then keeps.
 func (d *DB) oidOf(id hyper.NodeID) (objstore.OID, error) {
 	d.oidMu.Lock()
 	oid, ok := d.oidCache[id]
@@ -177,47 +180,84 @@ func (d *DB) oidOf(id hyper.NodeID) (objstore.OID, error) {
 	if ok {
 		return objstore.OID(oid), nil
 	}
-	v, ok, err := d.uniq.Get(btree.U64Key(uint64(id)))
+	ok, err := d.uniq.View(btree.U64Key(uint64(id)), func(v []byte) error {
+		oid = btree.U64FromKey(v)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, fmt.Errorf("%w: node %d", hyper.ErrNotFound, id)
 	}
-	return objstore.OID(btree.U64FromKey(v)), nil
+	d.remember(id, oid)
+	return objstore.OID(oid), nil
 }
 
-// noteObject records the id→OID mappings an activated object carries:
-// its own identity plus every relationship target. Only decoded
-// storage bytes feed the cache, so a hit is as authoritative as a uniq
-// index probe.
-func (d *DB) noteObject(oid objstore.OID, o *object) {
-	d.oidMu.Lock()
-	defer d.oidMu.Unlock()
+// cacheLocked returns the OID cache, creating it on first use; the
+// caller holds oidMu.
+func (d *DB) cacheLocked() map[hyper.NodeID]uint64 {
 	if d.oidCache == nil {
 		d.oidCache = make(map[hyper.NodeID]uint64, 256)
 	}
-	d.oidCache[o.node.ID] = uint64(oid)
-	if o.parentOID != 0 {
-		d.oidCache[o.parentID] = o.parentOID
-	}
-	for _, r := range o.children {
-		d.oidCache[r.id] = r.oid
-	}
-	for _, r := range o.parts {
-		d.oidCache[r.id] = r.oid
-	}
-	for _, r := range o.partOf {
-		d.oidCache[r.id] = r.oid
-	}
-	for _, e := range o.refsTo {
-		d.oidCache[e.id] = e.oid
-	}
-	for _, e := range o.refsFrom {
-		d.oidCache[e.id] = e.oid
-	}
+	return d.oidCache
 }
 
+// remember records one id→OID mapping read from storage.
+func (d *DB) remember(id hyper.NodeID, oid uint64) {
+	d.oidMu.Lock()
+	d.cacheLocked()[id] = oid
+	d.oidMu.Unlock()
+}
+
+// learn records the id→OID mappings of the relationship section an
+// accessor is about to return: its targets are where the caller
+// navigates next, so the following activations skip the uniq index.
+// Only storage bytes feed the cache, so a hit is as authoritative as a
+// uniq index probe. Sections nobody asked for are not learned (if they
+// are navigated later, oidOf probes and keeps the answer), and an
+// empty section takes no lock.
+func (d *DB) learn(v objView, r relation) {
+	n := int(v.n[r])
+	if n == 0 {
+		return
+	}
+	d.oidMu.Lock()
+	cache := d.cacheLocked()
+	for i := 0; i < n; i++ {
+		oid, id := v.target(r, i)
+		cache[id] = oid
+	}
+	d.oidMu.Unlock()
+}
+
+// view activates the object with the given OID: fn reads the validated
+// record in place, under objstore.View's contract — the view is valid
+// only until fn returns, and fn must not write to the database.
+func (d *DB) view(oid objstore.OID, fn func(v objView) error) error {
+	err := d.objs.View(oid, func(data []byte) error {
+		v, err := parseObject(data)
+		if err != nil {
+			return err
+		}
+		return fn(v)
+	})
+	if errors.Is(err, objstore.ErrNotFound) {
+		return fmt.Errorf("%w: oid %d", hyper.ErrNotFound, oid)
+	}
+	return err
+}
+
+// viewNode is view by uniqueId.
+func (d *DB) viewNode(id hyper.NodeID, fn func(v objView) error) error {
+	oid, err := d.oidOf(id)
+	if err != nil {
+		return err
+	}
+	return d.view(oid, fn)
+}
+
+// load materialises the node's whole object for a mutating path.
 func (d *DB) load(id hyper.NodeID) (objstore.OID, *object, error) {
 	oid, err := d.oidOf(id)
 	if err != nil {
@@ -227,20 +267,12 @@ func (d *DB) load(id hyper.NodeID) (objstore.OID, *object, error) {
 	return oid, o, err
 }
 
-func (d *DB) loadByOID(oid objstore.OID) (*object, error) {
-	data, err := d.objs.Get(oid)
-	if err != nil {
-		if errors.Is(err, objstore.ErrNotFound) {
-			return nil, fmt.Errorf("%w: oid %d", hyper.ErrNotFound, oid)
-		}
-		return nil, err
-	}
-	o, err := decodeObject(data)
-	if err != nil {
-		return nil, err
-	}
-	d.noteObject(oid, o)
-	return o, nil
+func (d *DB) loadByOID(oid objstore.OID) (o *object, err error) {
+	err = d.view(oid, func(v objView) error {
+		o = v.object()
+		return nil
+	})
+	return o, err
 }
 
 func (d *DB) storeObj(oid objstore.OID, o *object) error {
@@ -366,21 +398,21 @@ func (d *DB) AddRef(e hyper.Edge) error {
 }
 
 // Node returns a node's attributes.
-func (d *DB) Node(id hyper.NodeID) (hyper.Node, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return hyper.Node{}, err
-	}
-	return o.node, nil
+func (d *DB) Node(id hyper.NodeID) (n hyper.Node, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		n = v.node()
+		return nil
+	})
+	return n, err
 }
 
 // Hundred returns the hundred attribute via the key index (O1's path).
-func (d *DB) Hundred(id hyper.NodeID) (int32, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return 0, err
-	}
-	return o.node.Hundred, nil
+func (d *DB) Hundred(id hyper.NodeID) (h int32, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		h = v.hundred()
+		return nil
+	})
+	return h, err
 }
 
 // SetHundred updates the attribute and maintains the secondary index.
@@ -412,12 +444,12 @@ func (d *DB) OIDOf(id hyper.NodeID) (hyper.OID, error) {
 }
 
 // HundredByOID is O2: direct object-table access, no key index.
-func (d *DB) HundredByOID(oid hyper.OID) (int32, error) {
-	o, err := d.loadByOID(objstore.OID(oid))
-	if err != nil {
-		return 0, err
-	}
-	return o.node.Hundred, nil
+func (d *DB) HundredByOID(oid hyper.OID) (h int32, err error) {
+	err = d.view(objstore.OID(oid), func(v objView) error {
+		h = v.hundred()
+		return nil
+	})
+	return h, err
 }
 
 // RangeHundred is a covering scan of the hundred index.
@@ -442,78 +474,52 @@ func scanAttrIndex(t *btree.Tree, lo, hi int32) ([]hyper.NodeID, error) {
 	return out, err
 }
 
-// Children returns the ordered children from the parent's object.
-func (d *DB) Children(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.children))
-	for i, r := range o.children {
-		out[i] = r.id
-	}
-	return out, nil
+// related returns the uniqueIds one relationship section points at.
+func (d *DB) related(id hyper.NodeID, r relation) (out []hyper.NodeID, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		d.learn(v, r)
+		out = v.ids(r)
+		return nil
+	})
+	return out, err
 }
+
+// edges returns one association section as edges of the node.
+func (d *DB) edges(id hyper.NodeID, r relation) (out []hyper.Edge, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		d.learn(v, r)
+		out = v.edges(r, id)
+		return nil
+	})
+	return out, err
+}
+
+// Children returns the ordered children from the parent's object.
+func (d *DB) Children(id hyper.NodeID) ([]hyper.NodeID, error) { return d.related(id, relChildren) }
 
 // Parts returns the M-N parts.
-func (d *DB) Parts(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.parts))
-	for i, r := range o.parts {
-		out[i] = r.id
-	}
-	return out, nil
-}
-
-// RefsTo returns the outgoing association edges.
-func (d *DB) RefsTo(id hyper.NodeID) ([]hyper.Edge, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.Edge, len(o.refsTo))
-	for i, e := range o.refsTo {
-		out[i] = hyper.Edge{From: id, To: e.id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-	}
-	return out, nil
-}
-
-// Parent returns the 1-N parent.
-func (d *DB) Parent(id hyper.NodeID) (hyper.NodeID, bool, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return 0, false, err
-	}
-	return o.parentID, o.parentOID != 0, nil
-}
+func (d *DB) Parts(id hyper.NodeID) ([]hyper.NodeID, error) { return d.related(id, relParts) }
 
 // PartOf returns the wholes this node is part of.
-func (d *DB) PartOf(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.partOf))
-	for i, r := range o.partOf {
-		out[i] = r.id
-	}
-	return out, nil
-}
+func (d *DB) PartOf(id hyper.NodeID) ([]hyper.NodeID, error) { return d.related(id, relPartOf) }
+
+// RefsTo returns the outgoing association edges.
+func (d *DB) RefsTo(id hyper.NodeID) ([]hyper.Edge, error) { return d.edges(id, relRefsTo) }
 
 // RefsFrom returns the incoming association edges.
-func (d *DB) RefsFrom(id hyper.NodeID) ([]hyper.Edge, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.Edge, len(o.refsFrom))
-	for i, e := range o.refsFrom {
-		out[i] = hyper.Edge{From: e.id, To: id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-	}
-	return out, nil
+func (d *DB) RefsFrom(id hyper.NodeID) ([]hyper.Edge, error) { return d.edges(id, relRefsFrom) }
+
+// Parent returns the 1-N parent.
+func (d *DB) Parent(id hyper.NodeID) (parent hyper.NodeID, ok bool, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		var oid uint64
+		if oid, parent = v.parent(); oid != 0 {
+			ok = true
+			d.remember(parent, oid)
+		}
+		return nil
+	})
+	return parent, ok, err
 }
 
 // ScanTen walks the uniqueId index over [first, last] and activates
@@ -521,40 +527,46 @@ func (d *DB) RefsFrom(id hyper.NodeID) ([]hyper.Edge, error) {
 func (d *DB) ScanTen(first, last hyper.NodeID, visit func(hyper.NodeID, int32) bool) error {
 	from := btree.U64Key(uint64(first))
 	to := btree.U64Key(uint64(last) + 1)
-	var stop bool
-	err := d.uniq.Scan(from, to, func(k, v []byte) (bool, error) {
-		o, err := d.loadByOID(objstore.OID(btree.U64FromKey(v)))
+	return d.uniq.Scan(from, to, func(k, v []byte) (bool, error) {
+		var ten int32
+		err := d.view(objstore.OID(btree.U64FromKey(v)), func(v objView) error {
+			ten = v.ten()
+			return nil
+		})
 		if err != nil {
 			return false, err
 		}
-		if !visit(hyper.NodeID(btree.U64FromKey(k)), o.node.Ten) {
-			stop = true
-			return false, nil
-		}
-		return true, nil
+		return visit(hyper.NodeID(btree.U64FromKey(k)), ten), nil
 	})
-	_ = stop
-	return err
 }
 
+// wrongKind is the error for content access to a node of another kind.
+func wrongKind(id hyper.NodeID, got hyper.Kind) error {
+	return fmt.Errorf("%w: node %d is %s", hyper.ErrWrongKind, id, got)
+}
+
+// contentNode materialises a leaf of the wanted kind for an edit.
 func (d *DB) contentNode(id hyper.NodeID, want hyper.Kind) (objstore.OID, *object, error) {
 	oid, o, err := d.load(id)
 	if err != nil {
 		return 0, nil, err
 	}
 	if o.node.Kind != want {
-		return 0, nil, fmt.Errorf("%w: node %d is %s", hyper.ErrWrongKind, id, o.node.Kind)
+		return 0, nil, wrongKind(id, o.node.Kind)
 	}
 	return oid, o, nil
 }
 
 // Text returns a TextNode's content.
-func (d *DB) Text(id hyper.NodeID) (string, error) {
-	_, o, err := d.contentNode(id, hyper.KindText)
-	if err != nil {
-		return "", err
-	}
-	return string(o.text), nil
+func (d *DB) Text(id hyper.NodeID) (text string, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		if v.kind() != hyper.KindText {
+			return wrongKind(id, v.kind())
+		}
+		text = string(v.text)
+		return nil
+	})
+	return text, err
 }
 
 // SetText replaces a TextNode's content.
@@ -571,12 +583,16 @@ func (d *DB) SetText(id hyper.NodeID, text string) error {
 }
 
 // Form returns a FormNode's bitmap.
-func (d *DB) Form(id hyper.NodeID) (hyper.Bitmap, error) {
-	_, o, err := d.contentNode(id, hyper.KindForm)
-	if err != nil {
-		return hyper.Bitmap{}, err
-	}
-	return hyper.DecodeBitmap(o.form)
+func (d *DB) Form(id hyper.NodeID) (bm hyper.Bitmap, err error) {
+	err = d.viewNode(id, func(v objView) error {
+		if v.kind() != hyper.KindForm {
+			return wrongKind(id, v.kind())
+		}
+		var err error
+		bm, err = hyper.DecodeBitmap(v.form)
+		return err
+	})
+	return bm, err
 }
 
 // SetForm replaces a FormNode's bitmap.

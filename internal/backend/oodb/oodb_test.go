@@ -141,10 +141,11 @@ func TestObjectCodecRoundTrip(t *testing.T) {
 		refsFrom:  []edgeRef{{8, 17, 3, 4}, {9, 18, 5, 6}},
 		text:      []byte("hello version1 world"),
 	}
-	got, err := decodeObject(encodeObject(o))
+	v, err := parseObject(encodeObject(o))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := v.object()
 	if got.node != o.node || got.parentOID != o.parentOID || got.parentID != o.parentID {
 		t.Fatalf("header mismatch: %+v", got)
 	}
@@ -162,16 +163,33 @@ func TestObjectCodecRoundTrip(t *testing.T) {
 func TestObjectCodecRejectsCorrupt(t *testing.T) {
 	o := &object{node: hyper.Node{ID: 1}}
 	enc := encodeObject(o)
-	if _, err := decodeObject(enc[:len(enc)-2]); err == nil {
+	if _, err := parseObject(enc[:len(enc)-2]); err == nil {
 		t.Fatal("truncated object accepted")
 	}
-	if _, err := decodeObject(append(enc, 0)); err == nil {
+	if _, err := parseObject(append(enc, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = 99
-	if _, err := decodeObject(bad); err == nil {
+	if _, err := parseObject(bad); err == nil {
 		t.Fatal("bad version accepted")
+	}
+	// Counts and lengths that overrun the record: an empty object's five
+	// section counts sit at headerSize, +2, … and its two content lengths
+	// after them.
+	for _, off := range []int{headerSize, headerSize + 6, headerSize + 8} {
+		bad := append([]byte(nil), enc...)
+		bad[off], bad[off+1] = 0xff, 0xff
+		if _, err := parseObject(bad); err == nil {
+			t.Fatalf("section count at %d overrunning the record accepted", off)
+		}
+	}
+	for _, off := range []int{headerSize + 10, headerSize + 14} {
+		bad := append([]byte(nil), enc...)
+		copy(bad[off:], []byte{0xff, 0xff, 0xff, 0xff})
+		if _, err := parseObject(bad); err == nil {
+			t.Fatalf("content length at %d overrunning the record accepted", off)
+		}
 	}
 }
 

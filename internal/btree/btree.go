@@ -256,25 +256,35 @@ func buildIntCell(key []byte, child page.ID) []byte {
 	return c
 }
 
-// Get returns the value stored under key.
+// Get returns a copy of the value stored under key.
 func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
+	found, err = t.View(key, func(v []byte) error {
+		val = append([]byte(nil), v...)
+		return nil
+	})
+	return val, found, err
+}
+
+// View calls fn with the value stored under key while the leaf holding
+// it is pinned, and reports whether the key was present. The slice
+// aliases page memory: it is valid only until fn returns and must not
+// be modified or retained.
+func (t *Tree) View(key []byte, fn func(val []byte) error) (found bool, err error) {
 	id := t.startRoot()
 	for {
 		h, err := t.sp.Get(id)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		n := node{h.Page().Payload()}
 		if n.leaf() {
 			i, ok := n.search(key)
-			if !ok {
-				h.Release()
-				return nil, false, nil
+			if ok {
+				_, v := n.leafCell(i)
+				err = fn(v)
 			}
-			_, v := n.leafCell(i)
-			out := append([]byte(nil), v...)
 			h.Release()
-			return out, true, nil
+			return ok, err
 		}
 		next := n.childFor(key)
 		h.Release()

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"time"
 
 	"hypermodel/internal/hyper"
@@ -92,6 +94,9 @@ type runner struct {
 // Run executes the configured operations on the backend and returns
 // the result matrix.
 func Run(b hyper.Backend, lay hyper.Layout, cfg Config) ([]OpResult, error) {
+	if err := CheckOps(cfg.Ops); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	var out []OpResult
 	for _, o := range operations() {
@@ -105,6 +110,22 @@ func Run(b hyper.Backend, lay hyper.Layout, cfg Config) ([]OpResult, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// CheckOps rejects an operation filter naming an operation that does
+// not exist: it would otherwise select nothing and report an empty
+// matrix as success.
+func CheckOps(filter []string) error {
+	var valid []string
+	for _, o := range operations() {
+		valid = append(valid, o.id)
+	}
+	for _, f := range filter {
+		if !slices.Contains(valid, f) {
+			return fmt.Errorf("harness: unknown operation %q; valid operations are %s", f, strings.Join(valid, ", "))
+		}
+	}
+	return nil
 }
 
 func selected(filter []string, id string) bool {

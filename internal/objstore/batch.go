@@ -1,14 +1,6 @@
 package objstore
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-
-	"hypermodel/internal/storage/page"
-	"hypermodel/internal/storage/slotted"
-	"hypermodel/internal/storage/store"
-)
+import "hypermodel/internal/storage/page"
 
 // Prefetcher is the optional bulk-fetch capability of a page Space. A
 // Space backed by a page server implements it by requesting all listed
@@ -33,7 +25,7 @@ type AsyncPrefetcher interface {
 // Space cannot fetch asynchronously (the caller simply proceeds to its
 // synchronous reads). Only the objects' primary data pages are warmed
 // — overflow chains reveal themselves one hop at a time and are left
-// to GetBatch's lockstep walk.
+// to the batch read's lockstep walk.
 func (s *Store) PrefetchOIDs(oids []OID) (wait func() error) {
 	ap, ok := s.sp.(AsyncPrefetcher)
 	if !ok || len(oids) == 0 {
@@ -55,130 +47,4 @@ func (s *Store) PrefetchOIDs(oids []OID) (wait func() error) {
 		return nil
 	}
 	return ap.PrefetchAsync(distinct)
-}
-
-// GetBatch returns a copy of each listed object's bytes, out[i] for
-// oids[i]. Records are visited grouped by data page so every page is
-// fetched and pinned once per batch regardless of how many objects it
-// holds, and when the underlying Space supports Prefetch, all of a
-// batch's pages are requested in bulk before any is read. Overflow
-// chains are walked in lockstep — one prefetch per chain generation —
-// so even spilled objects cost one round trip per chain hop for the
-// whole batch, not per object.
-func (s *Store) GetBatch(oids []OID) ([][]byte, error) {
-	if len(oids) == 0 {
-		return nil, nil
-	}
-	rids := make([]rid, len(oids))
-	for i, oid := range oids {
-		r, err := s.lookup(oid)
-		if err != nil {
-			return nil, fmt.Errorf("objstore: batch item %d: %w", i, err)
-		}
-		rids[i] = r
-	}
-	order := make([]int, len(oids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := rids[order[a]], rids[order[b]]
-		if ra.pg != rb.pg {
-			return ra.pg < rb.pg
-		}
-		return ra.slot < rb.slot
-	})
-	if pf, ok := s.sp.(Prefetcher); ok {
-		distinct := make([]page.ID, 0, len(order))
-		for _, i := range order {
-			if n := len(distinct); n == 0 || distinct[n-1] != rids[i].pg {
-				distinct = append(distinct, rids[i].pg)
-			}
-		}
-		if err := pf.Prefetch(distinct); err != nil {
-			return nil, err
-		}
-	}
-	// Single page-grouped pass over the stubs, holding one page at a
-	// time. Overflow records are only noted here; their chains resolve
-	// below once every stub has been seen.
-	type chainState struct {
-		idx   int // index into out
-		next  page.ID
-		total int
-	}
-	out := make([][]byte, len(oids))
-	var chains []chainState
-	var h store.Handle
-	var cur page.ID
-	for _, i := range order {
-		r := rids[i]
-		if h == nil || r.pg != cur {
-			if h != nil {
-				h.Release()
-			}
-			var err error
-			h, err = s.sp.Get(r.pg)
-			if err != nil {
-				return nil, err
-			}
-			cur = r.pg
-		}
-		rec, ok := slotted.Wrap(h.Page()).Get(int(r.slot))
-		if !ok {
-			h.Release()
-			return nil, fmt.Errorf("%w: stale address %d/%d", ErrNotFound, r.pg, r.slot)
-		}
-		switch rec[0] {
-		case flagInline:
-			out[i] = append([]byte(nil), rec[1:]...)
-		case flagOverflow:
-			total := int(binary.LittleEndian.Uint32(rec[1:]))
-			first := page.ID(binary.LittleEndian.Uint64(rec[5:]))
-			out[i] = make([]byte, 0, total)
-			chains = append(chains, chainState{idx: i, next: first, total: total})
-		default:
-			h.Release()
-			return nil, fmt.Errorf("objstore: corrupt record flag %d", rec[0])
-		}
-	}
-	if h != nil {
-		h.Release()
-	}
-	// Lockstep chain walk: each generation prefetches the next page of
-	// every unfinished chain in one bulk request, then consumes them.
-	pf, bulk := s.sp.(Prefetcher)
-	for len(chains) > 0 {
-		if bulk && len(chains) > 1 {
-			gen := make([]page.ID, 0, len(chains))
-			for _, c := range chains {
-				gen = append(gen, c.next)
-			}
-			sort.Slice(gen, func(a, b int) bool { return gen[a] < gen[b] })
-			if err := pf.Prefetch(gen); err != nil {
-				return nil, err
-			}
-		}
-		live := chains[:0]
-		for _, c := range chains {
-			h, err := s.sp.Get(c.next)
-			if err != nil {
-				return nil, err
-			}
-			pl := h.Page().Payload()
-			used := int(binary.LittleEndian.Uint16(pl[ovfUsedOff:]))
-			out[c.idx] = append(out[c.idx], pl[ovfDataOff:ovfDataOff+used]...)
-			next := page.ID(binary.LittleEndian.Uint64(pl[ovfNextOff:]))
-			h.Release()
-			if next != page.Invalid {
-				c.next = next
-				live = append(live, c)
-			} else if len(out[c.idx]) != c.total {
-				return nil, fmt.Errorf("objstore: overflow chain length %d, stub says %d",
-					len(out[c.idx]), c.total)
-			}
-		}
-		chains = live
-	}
-	return out, nil
 }

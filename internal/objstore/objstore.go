@@ -200,15 +200,22 @@ func ridFromValue(b []byte) rid {
 
 func oidKey(oid OID) []byte { return btree.U64Key(uint64(oid)) }
 
+// lookup resolves an OID through the object table. The address is
+// parsed under the leaf's pin and the key never leaves the stack, so a
+// probe allocates nothing.
 func (s *Store) lookup(oid OID) (rid, error) {
-	v, ok, err := s.table.Get(oidKey(oid))
+	var r rid
+	ok, err := s.table.View(oidKey(oid), func(v []byte) error {
+		r = ridFromValue(v)
+		return nil
+	})
 	if err != nil {
 		return rid{}, err
 	}
 	if !ok {
 		return rid{}, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
-	return ridFromValue(v), nil
+	return r, nil
 }
 
 // Put stores data as a new object and returns its OID. If near is a
@@ -396,27 +403,6 @@ func (s *Store) writeChain(data []byte) (page.ID, error) {
 	return first, nil
 }
 
-func (s *Store) readChain(first page.ID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
-	id := first
-	for id != page.Invalid {
-		h, err := s.sp.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		pl := h.Page().Payload()
-		used := int(binary.LittleEndian.Uint16(pl[ovfUsedOff:]))
-		out = append(out, pl[ovfDataOff:ovfDataOff+used]...)
-		next := page.ID(binary.LittleEndian.Uint64(pl[ovfNextOff:]))
-		h.Release()
-		id = next
-	}
-	if len(out) != total {
-		return nil, fmt.Errorf("objstore: overflow chain length %d, stub says %d", len(out), total)
-	}
-	return out, nil
-}
-
 func (s *Store) freeChain(first page.ID) error {
 	id := first
 	for id != page.Invalid {
@@ -432,37 +418,6 @@ func (s *Store) freeChain(first page.ID) error {
 		id = next
 	}
 	return nil
-}
-
-// Get returns a copy of the object's bytes.
-func (s *Store) Get(oid OID) ([]byte, error) {
-	r, err := s.lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	return s.read(r)
-}
-
-func (s *Store) read(r rid) ([]byte, error) {
-	h, err := s.sp.Get(r.pg)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	rec, ok := slotted.Wrap(h.Page()).Get(int(r.slot))
-	if !ok {
-		return nil, fmt.Errorf("%w: stale address %d/%d", ErrNotFound, r.pg, r.slot)
-	}
-	switch rec[0] {
-	case flagInline:
-		return append([]byte(nil), rec[1:]...), nil
-	case flagOverflow:
-		total := int(binary.LittleEndian.Uint32(rec[1:]))
-		first := page.ID(binary.LittleEndian.Uint64(rec[5:]))
-		return s.readChain(first, total)
-	default:
-		return nil, fmt.Errorf("objstore: corrupt record flag %d", rec[0])
-	}
 }
 
 // Update replaces the object's bytes, preserving its OID. The object
@@ -483,9 +438,13 @@ func (s *Store) Update(oid OID, data []byte) error {
 		h.Release()
 		return fmt.Errorf("%w: stale address for oid %d", ErrNotFound, oid)
 	}
+	_, _, first, err := parseStub(old)
+	if err != nil {
+		h.Release()
+		return err
+	}
 	// Free a previous overflow chain if any; we rewrite from scratch.
-	if old[0] == flagOverflow {
-		first := page.ID(binary.LittleEndian.Uint64(old[5:]))
+	if first != page.Invalid {
 		h.Release()
 		if err := s.freeChain(first); err != nil {
 			return err
@@ -534,9 +493,10 @@ func (s *Store) Delete(oid OID) error {
 		h.Release()
 		return fmt.Errorf("%w: stale address for oid %d", ErrNotFound, oid)
 	}
-	var chain page.ID = page.Invalid
-	if rec[0] == flagOverflow {
-		chain = page.ID(binary.LittleEndian.Uint64(rec[5:]))
+	_, _, chain, err := parseStub(rec)
+	if err != nil {
+		h.Release()
+		return err
 	}
 	sp.Delete(int(r.slot))
 	empty := sp.Count() == 0
@@ -565,18 +525,6 @@ func (s *Store) Delete(oid OID) error {
 func (s *Store) Exists(oid OID) (bool, error) {
 	_, ok, err := s.table.Get(oidKey(oid))
 	return ok, err
-}
-
-// Scan visits every object in ascending OID order. The data slice is a
-// copy and may be retained. The callback returns false to stop early.
-func (s *Store) Scan(fn func(oid OID, data []byte) (bool, error)) error {
-	return s.table.Scan(nil, nil, func(k, v []byte) (bool, error) {
-		data, err := s.read(ridFromValue(v))
-		if err != nil {
-			return false, err
-		}
-		return fn(OID(btree.U64FromKey(k)), data)
-	})
 }
 
 // Count reports the number of live objects (a full table scan).
