@@ -1,6 +1,9 @@
 package oodb
 
 import (
+	"errors"
+	"fmt"
+
 	"hypermodel/internal/hyper"
 	"hypermodel/internal/objstore"
 )
@@ -29,18 +32,31 @@ func viewBatch[T any](d *DB, ids []hyper.NodeID, get func(i int, v objView) T) (
 		oids[i] = oid
 	}
 	out := make([]T, len(ids))
+	err := d.viewObjects(oids, func(i int, v objView) { out[i] = get(i, v) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// viewObjects activates every listed object through one batch read and
+// calls fn(i, view of oids[i]) for each, in the batch's page order.
+// Failures come back as a *hyper.BatchError at the caller's index: an
+// object that is gone wraps hyper.ErrNotFound, as a single read's does.
+func (d *DB) viewObjects(oids []objstore.OID, fn func(i int, v objView)) error {
 	err := d.objs.ViewBatch(oids, func(i int, data []byte) error {
 		v, err := parseObject(data)
 		if err != nil {
 			return &hyper.BatchError{Index: i, Err: err}
 		}
-		out[i] = get(i, v)
+		fn(i, v)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	var be *objstore.BatchError
+	if errors.As(err, &be) && errors.Is(be.Err, objstore.ErrNotFound) {
+		return &hyper.BatchError{Index: be.Index, Err: fmt.Errorf("%w: oid %d", hyper.ErrNotFound, oids[be.Index])}
 	}
-	return out, nil
+	return err
 }
 
 // PrefetchFrontier (hyper.FrontierPrefetcher) starts warming the page

@@ -265,31 +265,94 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 	return val, found, err
 }
 
+// leafFor descends from the root to the leaf that would hold key and
+// returns it pinned.
+func (t *Tree) leafFor(key []byte) (store.Handle, node, error) {
+	id := t.startRoot()
+	for {
+		h, err := t.sp.Get(id)
+		if err != nil {
+			return nil, node{}, err
+		}
+		n := node{h.Page().Payload()}
+		if n.leaf() {
+			return h, n, nil
+		}
+		id = n.childFor(key)
+		h.Release()
+	}
+}
+
 // View calls fn with the value stored under key while the leaf holding
 // it is pinned, and reports whether the key was present. The slice
 // aliases page memory: it is valid only until fn returns and must not
 // be modified or retained.
 func (t *Tree) View(key []byte, fn func(val []byte) error) (found bool, err error) {
-	id := t.startRoot()
-	for {
-		h, err := t.sp.Get(id)
-		if err != nil {
-			return false, err
-		}
-		n := node{h.Page().Payload()}
-		if n.leaf() {
-			i, ok := n.search(key)
-			if ok {
-				_, v := n.leafCell(i)
-				err = fn(v)
-			}
-			h.Release()
-			return ok, err
-		}
-		next := n.childFor(key)
-		h.Release()
-		id = next
+	h, n, err := t.leafFor(key)
+	if err != nil {
+		return false, err
 	}
+	i, ok := n.search(key)
+	if ok {
+		_, v := n.leafCell(i)
+		err = fn(v)
+	}
+	h.Release()
+	return ok, err
+}
+
+// ViewSorted looks up n keys in one left-to-right walk: key(i) returns
+// the i-th key, and fn(i, val, found) is called for each in turn under
+// View's contract (val is nil when the key is absent). key's slice is
+// only read before the next call to key, so the caller may reuse one
+// buffer. The leaf that answered the previous key stays pinned while
+// the next key falls between its first and last key; any other key,
+// or an empty leaf left by lazy deletion, re-descends from the root.
+// Keys given in ascending order therefore cost one descent per leaf
+// they touch instead of one per key; any order gives View's answers.
+// A callback error ends the walk and is returned. It allocates
+// nothing.
+func (t *Tree) ViewSorted(n int, key func(i int) []byte, fn func(i int, val []byte, found bool) error) error {
+	var h store.Handle
+	var leaf node
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if h != nil && !leaf.covers(k) {
+			h.Release()
+			h = nil
+		}
+		if h == nil {
+			var err error
+			if h, leaf, err = t.leafFor(k); err != nil {
+				return err
+			}
+		}
+		var val []byte
+		j, ok := leaf.search(k)
+		if ok {
+			_, val = leaf.leafCell(j)
+		}
+		if err := fn(i, val, ok); err != nil {
+			h.Release()
+			return err
+		}
+	}
+	if h != nil {
+		h.Release()
+	}
+	return nil
+}
+
+// covers reports whether key lies between the leaf's first and last
+// key, so that no other leaf can hold it.
+func (n node) covers(key []byte) bool {
+	k := n.nkeys()
+	if k == 0 {
+		return false
+	}
+	first, _ := n.leafCell(0)
+	last, _ := n.leafCell(k - 1)
+	return bytes.Compare(first, key) <= 0 && bytes.Compare(key, last) <= 0
 }
 
 // Put inserts or replaces the value under key.
@@ -444,26 +507,17 @@ func (t *Tree) splitInterior(h store.Handle, n node, i int, key []byte, child pa
 // Delete removes key from the tree, reporting whether it was present.
 // Pages are not merged or freed (lazy deletion).
 func (t *Tree) Delete(key []byte) (bool, error) {
-	id := t.startRoot()
-	for {
-		h, err := t.sp.Get(id)
-		if err != nil {
-			return false, err
-		}
-		n := node{h.Page().Payload()}
-		if n.leaf() {
-			i, ok := n.search(key)
-			if ok {
-				n.removeCell(i)
-				h.MarkDirty()
-			}
-			h.Release()
-			return ok, nil
-		}
-		next := n.childFor(key)
-		h.Release()
-		id = next
+	h, n, err := t.leafFor(key)
+	if err != nil {
+		return false, err
 	}
+	i, ok := n.search(key)
+	if ok {
+		n.removeCell(i)
+		h.MarkDirty()
+	}
+	h.Release()
+	return ok, nil
 }
 
 // Scan visits every entry with from <= key < to in ascending key order.

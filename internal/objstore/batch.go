@@ -1,6 +1,24 @@
 package objstore
 
-import "hypermodel/internal/storage/page"
+import (
+	"fmt"
+
+	"hypermodel/internal/storage/page"
+)
+
+// BatchError is the failure of one item of a batch read: Index is the
+// item's position in the caller's list, whatever order the read
+// visited it in.
+type BatchError struct {
+	Index int
+	Err   error
+}
+
+func (e *BatchError) Error() string {
+	return fmt.Sprintf("objstore: batch item %d: %v", e.Index, e.Err)
+}
+
+func (e *BatchError) Unwrap() error { return e.Err }
 
 // Prefetcher is the optional bulk-fetch capability of a page Space. A
 // Space backed by a page server implements it by requesting all listed

@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -297,6 +298,7 @@ func TestQuickModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		model := map[OID][]byte{}
 		var oids []OID
+		var dead OID // the last deleted OID
 		randData := func() []byte {
 			var n int
 			if rng.Intn(10) == 0 {
@@ -345,6 +347,7 @@ func TestQuickModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					delete(model, oid)
+					dead = oid
 				}
 			case 5: // get
 				if oid, ok := pick(); ok {
@@ -369,7 +372,41 @@ func TestQuickModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n == len(model)
+		if n != len(model) {
+			return false
+		}
+		// Every live object in one batch, shuffled, so list order, OID
+		// order and page order all disagree.
+		rng.Shuffle(len(oids), func(i, j int) { oids[i], oids[j] = oids[j], oids[i] })
+		seen := make([]int, len(oids))
+		err = os.ViewBatch(oids, func(i int, data []byte) error {
+			seen[i]++
+			if !bytes.Equal(data, model[oids[i]]) {
+				t.Errorf("seed %d: ViewBatch item %d (oid %d) differs from the model", seed, i, oids[i])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("seed %d: ViewBatch visited item %d %d times", seed, i, c)
+				return false
+			}
+		}
+		// A deleted OID in the batch fails it at the caller's index.
+		if dead != InvalidOID && len(oids) > 0 {
+			at := rng.Intn(len(oids))
+			withDead := append(append(append([]OID(nil), oids[:at]...), dead), oids[at:]...)
+			err := os.ViewBatch(withDead, func(int, []byte) error { return nil })
+			var be *BatchError
+			if !errors.As(err, &be) || be.Index != at || !errors.Is(err, ErrNotFound) {
+				t.Errorf("seed %d: ViewBatch with oid %d deleted at %d: %v", seed, dead, at, err)
+				return false
+			}
+		}
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

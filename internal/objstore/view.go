@@ -1,9 +1,10 @@
 package objstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
@@ -105,7 +106,7 @@ func (s *Store) view(rids []rid, order []int, fn func(i int, data []byte, pinned
 			for _, c := range chains {
 				gen = append(gen, c.next)
 			}
-			sort.Slice(gen, func(a, b int) bool { return gen[a] < gen[b] })
+			slices.Sort(gen)
 			if err := pf.Prefetch(gen); err != nil {
 				return err
 			}
@@ -152,33 +153,46 @@ func (s *Store) viewOne(oid OID, fn func(data []byte, pinned bool) error) error 
 	return s.viewAt(r, fn)
 }
 
-// viewBatch is view for a list of objects, grouped by data page so
-// every page is fetched and pinned once per batch regardless of how
-// many objects it holds. When the underlying Space supports Prefetch,
-// all of the batch's data pages are requested in bulk before any is
-// read.
+// viewBatch is view for a list of objects. Their addresses come from
+// one walk of the object table in OID order, so OIDs that share a
+// table leaf share its pin. The objects are then visited grouped by
+// data page, so every page is fetched and pinned once per batch
+// regardless of how many objects it holds. When the underlying Space
+// supports Prefetch, all of the batch's data pages are requested in
+// bulk before any is read.
 func (s *Store) viewBatch(oids []OID, fn func(i int, data []byte, pinned bool) error) error {
 	if len(oids) == 0 {
 		return nil
-	}
-	rids := make([]rid, len(oids))
-	for i, oid := range oids {
-		r, err := s.lookup(oid)
-		if err != nil {
-			return fmt.Errorf("objstore: batch item %d: %w", i, err)
-		}
-		rids[i] = r
 	}
 	order := make([]int, len(oids))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := rids[order[a]], rids[order[b]]
-		if ra.pg != rb.pg {
-			return ra.pg < rb.pg
+	if !slices.IsSorted(oids) {
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(oids[a], oids[b]) })
+	}
+	rids := make([]rid, len(oids))
+	var key [8]byte
+	err := s.table.ViewSorted(len(order), func(k int) []byte {
+		binary.BigEndian.PutUint64(key[:], uint64(oids[order[k]])) // oidKey, in place
+		return key[:]
+	}, func(k int, v []byte, found bool) error {
+		i := order[k]
+		if !found {
+			return &BatchError{Index: i, Err: fmt.Errorf("%w: oid %d", ErrNotFound, oids[i])}
 		}
-		return ra.slot < rb.slot
+		rids[i] = ridFromValue(v)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := rids[a], rids[b]
+		if ra.pg != rb.pg {
+			return cmp.Compare(ra.pg, rb.pg)
+		}
+		return cmp.Compare(ra.slot, rb.slot)
 	})
 	if pf, ok := s.sp.(Prefetcher); ok {
 		distinct := make([]page.ID, 0, len(order))
@@ -205,6 +219,8 @@ func (s *Store) View(oid OID, fn func(data []byte) error) error {
 // ViewBatch calls fn(i, bytes of oids[i]) for every listed object under
 // View's contract. Objects are visited grouped by data page, not in
 // list order, and objects that spilled into overflow pages come last.
+// An OID that denotes no live object fails the batch, before any
+// callback, with a *BatchError carrying its index in oids.
 func (s *Store) ViewBatch(oids []OID, fn func(i int, data []byte) error) error {
 	return s.viewBatch(oids, func(i int, data []byte, _ bool) error { return fn(i, data) })
 }

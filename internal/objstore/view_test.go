@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/slotted"
+	"hypermodel/internal/storage/store"
 )
 
 // plant overwrites oid's record with rec through the slotted layer, or
@@ -195,5 +197,81 @@ func TestViewAllocs(t *testing.T) {
 	})
 	if got > 2*perGet {
 		t.Fatalf("View allocates %.0f times, its two page gets %.0f", got, 2*perGet)
+	}
+}
+
+// countingSpace counts page Gets.
+type countingSpace struct {
+	store.Space
+	gets int
+}
+
+func (c *countingSpace) Get(id page.ID) (store.Handle, error) {
+	c.gets++
+	return c.Space.Get(id)
+}
+
+// TestViewSortedAllocs pins the object-table walk under ViewBatch: over
+// ascending OIDs it pins each table leaf once for the whole run of
+// keys the leaf holds, and allocates nothing beyond its page Gets.
+func TestViewSortedAllocs(t *testing.T) {
+	os, st := openStore(t, Options{})
+	const n = 2000
+	keys := make([][]byte, n)
+	for i := range keys {
+		oid, err := os.Put([]byte("v"), InvalidOID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = oidKey(oid)
+	}
+	cs := &countingSpace{Space: st}
+	table, err := btree.Open(cs, 0) // openStore's object-table slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A View descends the tree; a Scan descends once more and then
+	// pins each leaf, so the two counts give the height and the leaves.
+	if _, err := table.View(keys[0], func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	height := cs.gets
+	cs.gets = 0
+	if err := table.Scan(nil, nil, func(_, _ []byte) (bool, error) { return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	leaves := cs.gets - height
+	if height < 2 || leaves < 3 {
+		t.Fatalf("object table is %d high with %d leaves; want a multi-leaf tree", height, leaves)
+	}
+	walk := func() {
+		err := table.ViewSorted(n, func(i int) []byte { return keys[i] }, func(_ int, _ []byte, found bool) error {
+			if !found {
+				t.Fatal("object-table entry missing")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.gets = 0
+	walk()
+	if want := leaves * height; cs.gets != want {
+		t.Fatalf("ViewSorted over %d ascending keys made %d page gets, want %d (one descent per leaf)", n, cs.gets, want)
+	}
+	r, err := os.lookup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGet := testing.AllocsPerRun(200, func() {
+		h, err := st.Get(r.pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if got := testing.AllocsPerRun(20, walk); got > float64(leaves*height)*perGet {
+		t.Fatalf("ViewSorted allocates %.0f times, its %d page gets %.0f", got, leaves*height, float64(leaves*height)*perGet)
 	}
 }

@@ -675,7 +675,9 @@ func (c *Client) PrefetchAsync(ids []page.ID) (wait func() error) {
 // server supports it. When the server refuses opGetPages (an older
 // server, or a policy rejection) the client records the downgrade and
 // degrades gracefully to per-page fetches — slower, but the traversal
-// completes. strict propagates to installFetchedLocked.
+// completes. A batch that fails in transit (a corrupt item, or
+// transport retries exhausted) degrades only this call. strict
+// propagates to installFetchedLocked.
 func (c *Client) fetchPages(ids []page.ID, strict bool) error {
 	if c.batchOK.Load() {
 		err := c.fetchPageBatch(ids, strict)
@@ -693,6 +695,13 @@ func (c *Client) fetchPages(ids []page.ID, strict bool) error {
 			c.downgrades.Add(1)
 		case errors.As(err, &se):
 			c.batchOK.Store(false)
+			c.downgrades.Add(1)
+		case transient(err) && len(ids) > 1:
+			// The frame exhausted its transport retries. Over a lossy
+			// link a many-page response gets through far less often
+			// than a one-page one, so degrade this call to per-page
+			// fetches, each with its own retry budget; against a dead
+			// server the first of them fails the same way.
 			c.downgrades.Add(1)
 		default:
 			return err // transport retries exhausted

@@ -435,6 +435,73 @@ func TestBatchDowngrade(t *testing.T) {
 	}
 }
 
+// TestBatchLostInTransitDegrades: a batched fetch whose every attempt
+// dies in transit must not fail the prefetch while single pages still
+// get through. The client falls back to per-page fetches for that call
+// only, records the downgrade, and tries the batch path again next
+// time.
+func TestBatchLostInTransitDegrades(t *testing.T) {
+	srv := newBackedServer(t)
+	addr := scriptedServer(t, srv, func(frame int, req []byte) scriptStep {
+		if len(req) > 0 && req[0] == opGetPages {
+			return scriptStep{act: actDropAfter}
+		}
+		return scriptStep{act: actServe}
+	})
+	opts := fastRetry()
+	opts.RetryLimit = 2
+	c, err := Dial(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var ids []page.ID
+	for i := 0; i < 5; i++ {
+		id, h, err := c.Alloc(page.TypeSlotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Page().Payload()[0] = byte(i + 1)
+		h.MarkDirty()
+		h.Release()
+		ids = append(ids, id)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Prefetch(ids); err != nil {
+		t.Fatalf("prefetch with every batch lost in transit: %v", err)
+	}
+	for i, id := range ids {
+		h, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Page().Payload()[0] != byte(i+1) {
+			t.Fatalf("page %d content %d after downgrade", i, h.Page().Payload()[0])
+		}
+		h.Release()
+	}
+	// Two retries of the batch, then at least one redial of the
+	// connection the last attempt left dead.
+	if rs := c.RetryStats(); rs.Downgrades != 1 || rs.Retries < 2 {
+		t.Fatalf("retry stats = %+v, want 1 downgrade after the batch's 2 retries", rs)
+	}
+	// The batch path stays open: the next prefetch tries it again.
+	if err := c.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Prefetch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if _, batched := c.FrameStats(); batched != 2 {
+		t.Fatalf("batch requests = %d after two prefetches, want 2", batched)
+	}
+}
+
 // TestCloseIdempotentConcurrent: Close must be callable repeatedly and
 // concurrently with an in-flight request, which fails promptly instead
 // of retrying forever.
