@@ -874,10 +874,11 @@ func (c *Client) newCommitToken() uint64 {
 }
 
 // buildCommitReqLocked assembles the session's transaction — read set,
-// sealed write set, root updates, frees — into a commit request
-// carrying the given token. Shared by the single-server commit and the
-// cluster's per-shard prepare, so the two paths cannot drift.
-func (c *Client) buildCommitReqLocked(token uint64) *commitReq {
+// sealed write set (dirty, the pool's DirtyFrames), root updates,
+// frees — into a commit request carrying the given token. Shared by
+// the single-server commit and the cluster's per-shard prepare, so the
+// two paths cannot drift.
+func (c *Client) buildCommitReqLocked(token uint64, dirty []*buffer.Frame) *commitReq {
 	req := &commitReq{token: token, snapshot: c.snapSeq}
 	for id, ver := range c.readSet {
 		req.reads = append(req.reads, readEntry{id, ver})
@@ -885,7 +886,7 @@ func (c *Client) buildCommitReqLocked(token uint64) *commitReq {
 	if c.rootsRead || len(c.rootsDirty) > 0 {
 		req.reads = append(req.reads, readEntry{rootsVersionKey, c.rootsVer})
 	}
-	for _, f := range c.pool.DirtyFrames() {
+	for _, f := range dirty {
 		f.Page.UpdateChecksum()
 		req.writes = append(req.writes, writeEntry{f.ID, f.Page.Bytes()})
 	}
@@ -904,7 +905,7 @@ func (c *Client) txnState() (reads, writes bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	reads = len(c.readSet) > 0 || c.rootsRead
-	writes = len(c.pool.DirtyFrames()) > 0 || len(c.rootsDirty) > 0 || len(c.frees) > 0
+	writes = c.pool.HasDirty() || len(c.rootsDirty) > 0 || len(c.frees) > 0
 	return reads, writes
 }
 
@@ -945,7 +946,7 @@ func (c *Client) prepareShard(token uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.syncSessionLocked()
-	payload := encodePrepare(c.buildCommitReqLocked(token))
+	payload := encodePrepare(c.buildCommitReqLocked(token, c.pool.DirtyFrames()))
 	_, err := c.call(payload) //hyperlint:allow lockorder -- mu deliberately serializes the session across this round trip; Close never takes Client.mu and unparks the wait via closedCh and the mux kill
 	return err
 }
@@ -1022,7 +1023,7 @@ func (c *Client) Commit() error {
 		return nil
 	}
 
-	req := c.buildCommitReqLocked(c.newCommitToken())
+	req := c.buildCommitReqLocked(c.newCommitToken(), dirty)
 	payload := encodeCommit(req)
 	s := c.pickSlot()
 	resp, err := c.doOnce(s, payload) //hyperlint:allow lockorder -- mu deliberately serializes the session across this round trip; Close never takes Client.mu and unparks the wait via closedCh and the mux kill
@@ -1138,7 +1139,7 @@ func (c *Client) Abort() error {
 func (c *Client) DropCache() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.pool.DirtyFrames()) > 0 {
+	if c.pool.HasDirty() {
 		return errors.New("remote: DropCache with uncommitted changes")
 	}
 	c.pool.Drop()

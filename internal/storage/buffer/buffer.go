@@ -11,6 +11,10 @@
 // pinned the pool grows past its nominal capacity; the store bounds
 // this by checkpointing.
 //
+// The pool keeps the set of dirty frames itself, so a commit's
+// DirtyFrames and MarkAllClean cost what it dirtied, not what is
+// resident.
+//
 // Concurrency: the frame table is sharded so parallel readers do not
 // serialize behind one mutex (small pools collapse to a single shard to
 // keep exact global LRU order). Hit/miss/eviction counters and pin
@@ -21,8 +25,9 @@
 package buffer
 
 import (
+	"cmp"
 	"container/list"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +51,9 @@ type Frame struct {
 	// pages (bulk loads under the no-steal policy). Guarded by the
 	// shard mutex.
 	elem *list.Element
+	// dirtyAt is 1 + the frame's index in its shard's dirty list, or 0
+	// when it is not listed. Guarded by the shard mutex.
+	dirtyAt int
 }
 
 // Dirty reports whether the frame has modifications that are not yet in
@@ -83,6 +91,8 @@ type shard struct {
 	cap    int
 	frames map[page.ID]*Frame
 	lru    *list.List // of evictable (clean, unpinned) *Frame; front = MRU
+	// dirty lists the resident frames flagged dirty, in no order.
+	dirty []*Frame
 }
 
 // Pool is an LRU page cache.
@@ -94,6 +104,7 @@ type Pool struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+	ndirty    atomic.Int64 // total length of the shards' dirty lists
 }
 
 // New returns a pool that aims to hold at most capacity pages.
@@ -255,55 +266,75 @@ func (p *Pool) makeRoomLocked(sh *shard) {
 }
 
 // MarkDirty flags a (pinned) frame as modified, removing it from the
-// eviction candidates until the next commit cleans it.
+// eviction candidates and adding it to the dirty set until the next
+// commit cleans it. Marking an already-dirty frame costs one atomic
+// load: only the single writer dirties or cleans frames, so the flag
+// cannot change under it.
 func (p *Pool) MarkDirty(f *Frame) {
+	if f.dirty.Load() {
+		return
+	}
 	sh := p.shardFor(f.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f.dirty.Store(true)
 	sh.unlistLocked(f)
+	// A frame dropped or forgotten while its handle was held is no
+	// longer the page's frame; like the rest of its work, its
+	// modification is discarded, never logged.
+	if cur, ok := sh.frames[f.ID]; ok && cur == f {
+		sh.dirty = append(sh.dirty, f)
+		f.dirtyAt = len(sh.dirty)
+		p.ndirty.Add(1)
+	}
 }
+
+// HasDirty reports whether any resident frame is dirty.
+func (p *Pool) HasDirty() bool { return p.ndirty.Load() > 0 }
 
 // DirtyFrames returns the frames currently flagged dirty, sorted by
 // page ID. The order matters: the commit path logs and writes back the
 // dirty set in this order, so a given workload produces byte-identical
 // WAL and file images on every machine — which the seeded crash-point
-// sweeps rely on (map iteration order would reshuffle every run). The
-// frames are not pinned; the caller must hold the store's writer lock
-// while using them.
+// sweeps rely on. The frames are not pinned; the caller must hold the
+// store's writer lock while using them.
 func (p *Pool) DirtyFrames() []*Frame {
-	var out []*Frame
+	n := p.ndirty.Load()
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Frame, 0, n)
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty.Load() {
-				out = append(out, f)
-			}
-		}
+		out = append(out, sh.dirty...)
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// MarkAllClean clears the dirty flag on every frame (after the images
-// have been made durable via the WAL or the main file), returning the
-// unpinned ones to the eviction candidates.
+// MarkAllClean clears the dirty flag on every dirty frame (after the
+// images have been made durable via the WAL or the main file),
+// returning the unpinned ones to the eviction candidates.
 func (p *Pool) MarkAllClean() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
+		for _, f := range sh.dirty {
 			f.dirty.Store(false)
+			f.dirtyAt = 0
 			sh.relistLocked(f)
 		}
+		p.ndirty.Add(-int64(len(sh.dirty)))
+		clear(sh.dirty)
+		sh.dirty = sh.dirty[:0]
 		sh.mu.Unlock()
 	}
 }
 
 // Forget removes a page from the pool regardless of state. Used when a
-// page is freed.
+// page is freed; a dirty frame's modification is discarded.
 func (p *Pool) Forget(id page.ID) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
@@ -313,6 +344,16 @@ func (p *Pool) Forget(id page.ID) {
 		return
 	}
 	sh.unlistLocked(f)
+	if f.dirtyAt != 0 {
+		// Swap-remove from the dirty list.
+		i, last := f.dirtyAt-1, len(sh.dirty)-1
+		sh.dirty[i] = sh.dirty[last]
+		sh.dirty[i].dirtyAt = i + 1
+		sh.dirty[last] = nil
+		sh.dirty = sh.dirty[:last]
+		f.dirtyAt = 0
+		p.ndirty.Add(-1)
+	}
 	delete(sh.frames, id)
 }
 
@@ -326,6 +367,11 @@ func (p *Pool) Drop() {
 		sh.mu.Lock()
 		sh.frames = make(map[page.ID]*Frame, sh.cap)
 		sh.lru.Init()
+		for _, f := range sh.dirty {
+			f.dirtyAt = 0
+		}
+		p.ndirty.Add(-int64(len(sh.dirty)))
+		sh.dirty = nil
 		sh.mu.Unlock()
 	}
 }

@@ -1,6 +1,10 @@
 package buffer
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"hypermodel/internal/storage/page"
@@ -230,5 +234,236 @@ func TestResidentIDs(t *testing.T) {
 	}
 	if !seen[1] || !seen[2] || !seen[3] {
 		t.Fatalf("resident = %v", ids)
+	}
+}
+
+// scanDirty is the dirty set by its old definition: every resident
+// frame whose dirty flag is set, sorted by ID.
+func scanDirty(p *Pool) []*Frame {
+	var out []*Frame
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for _, f := range sh.frames {
+			if f.Dirty() {
+				out = append(out, f)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+func resident(p *Pool, id page.ID) bool {
+	sh := p.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.frames[id]
+	return ok
+}
+
+// TestDirtySetMatchesFrameScan runs random sequences of every pool
+// operation and checks after each step that the maintained dirty set
+// is exactly what a scan of the frame table finds. Handles are kept
+// across Drop and Forget, so zombie frames get dirtied and released
+// too. A single-shard and a sharded pool are both covered.
+func TestDirtySetMatchesFrameScan(t *testing.T) {
+	for _, capacity := range []int{4, 8 * shardCount} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := New(capacity)
+			maxID := 3 * capacity / 2
+			var held []*Frame
+			for step := 0; step < 2000; step++ {
+				id := page.ID(1 + rng.Intn(maxID))
+				var op string
+				switch r := rng.Intn(100); {
+				case r < 15:
+					op = "Get"
+					if f := p.Get(id); f != nil {
+						held = append(held, f)
+					}
+				case r < 25:
+					op = "Insert"
+					if !resident(p, id) {
+						held = append(held, p.Insert(id, page.New(page.TypeSlotted)))
+					}
+				case r < 35:
+					op = "GetOrInsert"
+					f, _ := p.GetOrInsert(id, page.New(page.TypeSlotted))
+					held = append(held, f)
+				case r < 60:
+					op = "MarkDirty"
+					if len(held) > 0 {
+						f := held[rng.Intn(len(held))]
+						p.MarkDirty(f)
+						if rng.Intn(4) == 0 {
+							p.MarkDirty(f) // double dirtying is one entry
+						}
+					}
+				case r < 80:
+					op = "Release"
+					if len(held) > 0 {
+						i := rng.Intn(len(held))
+						p.Release(held[i])
+						held = append(held[:i], held[i+1:]...)
+					}
+				case r < 87:
+					op = "Forget"
+					p.Forget(id)
+				case r < 89:
+					op = "Drop"
+					p.Drop()
+				case r < 93:
+					op = "DropClean"
+					before := scanDirty(p)
+					p.DropClean()
+					if got := scanDirty(p); !slices.Equal(got, before) {
+						t.Fatalf("cap=%d seed=%d step=%d: DropClean changed the dirty frames", capacity, seed, step)
+					}
+				default:
+					op = "MarkAllClean"
+					p.MarkAllClean()
+				}
+				want := scanDirty(p)
+				if got := p.DirtyFrames(); !slices.Equal(got, want) {
+					t.Fatalf("cap=%d seed=%d step=%d after %s(%d): DirtyFrames = %v, frame scan = %v",
+						capacity, seed, step, op, id, ids(got), ids(want))
+				}
+				if p.HasDirty() != (len(want) > 0) {
+					t.Fatalf("cap=%d seed=%d step=%d after %s: HasDirty = %v with %d dirty",
+						capacity, seed, step, op, p.HasDirty(), len(want))
+				}
+			}
+		}
+	}
+}
+
+func ids(fs []*Frame) []page.ID {
+	out := make([]page.ID, len(fs))
+	for i, f := range fs {
+		out[i] = f.ID
+	}
+	return out
+}
+
+func TestDirtySetEdgeCases(t *testing.T) {
+	p := New(2)
+	a := p.Insert(1, page.New(page.TypeSlotted))
+	p.MarkDirty(a)
+	p.MarkDirty(a)
+	if got := ids(p.DirtyFrames()); !slices.Equal(got, []page.ID{1}) {
+		t.Fatalf("double MarkDirty: dirty = %v, want [1]", got)
+	}
+	p.Release(a)
+
+	// A forgotten dirty frame leaves the set, and dirtying its stale
+	// handle again does not bring it back.
+	b := p.Insert(2, page.New(page.TypeSlotted))
+	p.MarkDirty(b)
+	p.Forget(2)
+	p.MarkDirty(b)
+	if got := ids(p.DirtyFrames()); !slices.Equal(got, []page.ID{1}) {
+		t.Fatalf("after Forget: dirty = %v, want [1]", got)
+	}
+	p.Release(b)
+
+	// DropClean keeps the dirty frame.
+	p.DropClean()
+	if got := ids(p.DirtyFrames()); !slices.Equal(got, []page.ID{1}) {
+		t.Fatalf("after DropClean: dirty = %v, want [1]", got)
+	}
+
+	// A pool full of dirty frames grows; once they are clean, eviction
+	// brings it back to capacity.
+	for id := page.ID(3); id <= 4; id++ {
+		f := p.Insert(id, page.New(page.TypeSlotted))
+		p.MarkDirty(f)
+		p.Release(f)
+	}
+	if p.Len() != 3 || p.Stats().Evictions != 0 {
+		t.Fatalf("dirty pool: len %d, evictions %d; want 3, 0", p.Len(), p.Stats().Evictions)
+	}
+	p.MarkAllClean()
+	if p.HasDirty() || len(p.DirtyFrames()) != 0 {
+		t.Fatal("dirty frames left after MarkAllClean")
+	}
+	for id := page.ID(5); id <= 6; id++ {
+		p.Release(p.Insert(id, page.New(page.TypeSlotted)))
+	}
+	if p.Len() != 2 || p.Stats().Evictions == 0 {
+		t.Fatalf("after MarkAllClean: len %d, evictions %d; want 2 and some", p.Len(), p.Stats().Evictions)
+	}
+
+	p.MarkDirty(p.Get(5))
+	p.Drop()
+	if p.HasDirty() || len(p.DirtyFrames()) != 0 {
+		t.Fatal("dirty frames left after Drop")
+	}
+}
+
+// TestConcurrentPinWhileDirtying races readers pinning, snapshotting
+// and releasing frames against the single writer dirtying and cleaning
+// them. Run under -race. The writer's own record of what it dirtied
+// since its last clean must match DirtyFrames throughout: readers
+// neither add nor remove dirty frames.
+func TestConcurrentPinWhileDirtying(t *testing.T) {
+	const pages = 64
+	p := New(8 * shardCount)
+	for id := page.ID(1); id <= pages; id++ {
+		p.Release(p.Insert(id, page.New(page.TypeSlotted)))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := page.ID(1 + rng.Intn(2*pages))
+				if f := p.Get(id); f != nil {
+					_ = f.Snapshot()
+					p.Release(f)
+				} else if rng.Intn(2) == 0 {
+					f, _ := p.GetOrInsert(id, page.New(page.TypeSlotted))
+					p.Release(f)
+				}
+				_ = p.Snapshot(id)
+			}
+		}(int64(r))
+	}
+
+	rng := rand.New(rand.NewSource(99))
+	mine := map[page.ID]bool{}
+	for i := 0; i < 5000; i++ {
+		id := page.ID(1 + rng.Intn(pages))
+		f, _ := p.GetOrInsert(id, page.New(page.TypeSlotted))
+		p.MarkDirty(f)
+		p.Release(f)
+		mine[id] = true
+		if rng.Intn(16) == 0 {
+			got := ids(p.DirtyFrames())
+			if len(got) != len(mine) {
+				t.Fatalf("dirty set %v, writer dirtied %d pages", got, len(mine))
+			}
+			for _, id := range got {
+				if !mine[id] {
+					t.Fatalf("page %d dirty but never dirtied", id)
+				}
+			}
+			p.MarkAllClean()
+			clear(mine)
+		}
 	}
 }

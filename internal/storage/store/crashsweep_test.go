@@ -151,7 +151,10 @@ func TestCrashSweepEveryFsyncBarrier(t *testing.T) {
 // TestCrashSweepMidWrite cuts the power mid-workload at strided write
 // counts instead of sync barriers — the torn-write variant: the
 // triggering write itself settles torn, dropped, or applied with
-// everything else pending.
+// everything else pending. A commit is one WAL write plus its
+// write-backs, so the workload issues 128 writes and the writes/64+1
+// stride of 3 visits a third of them. It misses every commit's WAL
+// write, which TestTornCommitWrite cuts at directly.
 func TestCrashSweepMidWrite(t *testing.T) {
 	const batches, perBatch = 20, 4
 	cfs0 := vfs.NewCrash(vfs.NewMem(), vfs.CrashConfig{})

@@ -807,7 +807,7 @@ func (s *Store) checkpointLocked() error {
 func (s *Store) DropCache() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if len(s.pool.DirtyFrames()) > 0 {
+	if s.pool.HasDirty() {
 		return errors.New("store: DropCache with uncommitted changes")
 	}
 	s.pool.Drop()

@@ -2,11 +2,20 @@
 //
 // The store appends the full after-image of every page dirtied by a
 // transaction, followed by a commit record, and syncs the log before
-// acknowledging the commit. Data pages are written back to the main
-// file lazily (at checkpoint or eviction), so after a crash the log is
-// replayed: page images belonging to committed transactions are applied
-// to the file, everything after the last valid commit record is
-// discarded.
+// acknowledging the commit. It then writes the same images back to the
+// main file at every commit, without syncing it; the file is synced
+// only at checkpoint, when the log is truncated. After a crash the log
+// is replayed: page images belonging to committed transactions are
+// applied to the file, everything after the last valid commit record
+// is discarded.
+//
+// Records are built in place in one reused staging buffer. A page
+// record only stages; the barrier that seals a run of records (a
+// commit, commit group, prepare or decide) writes them and itself with
+// a single WriteAt, so a commit costs one write however many pages it
+// logs. Sync, Close, Scan and Replay write whatever is staged first.
+// Staging changes the number of writes only: the bytes, their offsets
+// and the LSNs are those of one write per record.
 //
 // Record framing:
 //
@@ -75,6 +84,11 @@ const (
 	// token) but small enough that random garbage in a length field is
 	// recognized as corruption rather than a torn tail.
 	maxFrameBody = 1 << 24
+
+	// stageLimit bounds the staging buffer: a page append that fills
+	// it past this writes the stage early, so a bulk-load commit does
+	// not hold a second copy of thousands of pages.
+	stageLimit = 1 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -83,8 +97,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type WAL struct {
 	mu      sync.Mutex
 	f       vfs.File
-	size    int64 // current log size = next LSN
-	pending int64 // bytes appended but not yet synced
+	size    int64  // current log size, staged bytes included = next LSN
+	stage   []byte // frames appended but not yet written, ending at size
+	pending int64  // bytes written but not yet synced
 	// Counters are atomic so Stats never blocks behind a commit fsync
 	// holding mu.
 	syncs   atomic.Uint64
@@ -112,63 +127,101 @@ func OpenFS(fs vfs.FS, path string) (*WAL, error) {
 	return &WAL{f: f, size: size}, nil
 }
 
-func (w *WAL) appendFrame(body []byte) (lsn uint64, err error) {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	if _, err := w.f.WriteAt(hdr[:], w.size); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := w.f.WriteAt(body, w.size+frameHeader); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
+// beginFrame opens a frame of the given kind at the end of the stage.
+// The caller appends the rest of the body to w.stage and closes the
+// frame with endFrame(off).
+func (w *WAL) beginFrame(kind byte) (off int) {
+	off = len(w.stage)
+	w.stage = append(w.stage, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	return off
+}
+
+// endFrame fills in the header of the frame opened at off and returns
+// its LSN.
+func (w *WAL) endFrame(off int) (lsn uint64) {
+	body := w.stage[off+frameHeader:]
+	binary.LittleEndian.PutUint32(w.stage[off:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w.stage[off+4:], crc32.Checksum(body, castagnoli))
 	lsn = uint64(w.size)
-	w.size += frameHeader + int64(len(body))
-	w.pending += frameHeader + int64(len(body))
+	w.size += int64(frameHeader + len(body))
 	w.appends.Add(1)
+	return lsn
+}
+
+// writeLocked writes the staged frames to the file with one WriteAt.
+// On failure the staged frames are discarded and the log size rolls
+// back to the end of what was written before, so the next append
+// lands there and a retried commit leaves no hole in the log.
+func (w *WAL) writeLocked() error {
+	if len(w.stage) == 0 {
+		return nil
+	}
+	n := len(w.stage)
+	off := w.size - int64(n)
+	_, err := w.f.WriteAt(w.stage, off)
+	w.stage = w.stage[:0]
+	if err != nil {
+		w.size = off
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	w.pending += int64(n)
+	return nil
+}
+
+// barrierLocked closes the barrier frame opened at off, writes it
+// together with every record staged before it, and, unless nosync,
+// forces the log to stable storage.
+func (w *WAL) barrierLocked(off int, nosync bool) (lsn uint64, err error) {
+	lsn = w.endFrame(off)
+	if nosync {
+		err = w.writeLocked()
+	} else {
+		err = w.syncLocked()
+	}
+	if err != nil {
+		return 0, err
+	}
 	return lsn, nil
 }
 
 // AppendPage logs the full after-image of page id and returns the LSN
-// of the record.
+// of the record. The record is staged, not written: the next barrier
+// writes it.
 func (w *WAL) AppendPage(id page.ID, p *page.Page) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := make([]byte, 1+8+page.Size)
-	body[0] = kindPage
-	binary.LittleEndian.PutUint64(body[1:9], uint64(id))
 	p.UpdateChecksum()
-	copy(body[9:], p.Bytes())
-	return w.appendFrame(body)
+	off := w.beginFrame(kindPage)
+	w.stage = binary.LittleEndian.AppendUint64(w.stage, uint64(id))
+	w.stage = append(w.stage, p.Bytes()...)
+	lsn = w.endFrame(off)
+	if len(w.stage) >= stageLimit {
+		if err := w.writeLocked(); err != nil {
+			return 0, err
+		}
+	}
+	return lsn, nil
 }
 
 // AppendCommit logs a commit record for the given transaction sequence
 // number and syncs the log to stable storage.
 func (w *WAL) AppendCommit(seq uint64) (lsn uint64, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	body := make([]byte, 1+8)
-	body[0] = kindCommit
-	binary.LittleEndian.PutUint64(body[1:9], seq)
-	if lsn, err = w.appendFrame(body); err != nil {
-		return 0, err
-	}
-	if err := w.syncLocked(); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	return w.appendCommit(seq, false)
 }
 
 // AppendCommitNoSync logs a commit record without forcing the log to
 // stable storage. Used by bulk loads that accept losing the tail on a
 // crash and checkpoint at the end.
 func (w *WAL) AppendCommitNoSync(seq uint64) (lsn uint64, err error) {
+	return w.appendCommit(seq, true)
+}
+
+func (w *WAL) appendCommit(seq uint64, nosync bool) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := make([]byte, 1+8)
-	body[0] = kindCommit
-	binary.LittleEndian.PutUint64(body[1:9], seq)
-	return w.appendFrame(body)
+	off := w.beginFrame(kindCommit)
+	w.stage = binary.LittleEndian.AppendUint64(w.stage, seq)
+	return w.barrierLocked(off, nosync)
 }
 
 // AppendCommitGroup logs one commit barrier covering every page image
@@ -178,23 +231,13 @@ func (w *WAL) AppendCommitNoSync(seq uint64) (lsn uint64, err error) {
 func (w *WAL) AppendCommitGroup(seq uint64, tokens []uint64, nosync bool) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := make([]byte, 1+8+4+8*len(tokens))
-	body[0] = kindGroup
-	binary.LittleEndian.PutUint64(body[1:9], seq)
-	binary.LittleEndian.PutUint32(body[9:13], uint32(len(tokens)))
-	for i, t := range tokens {
-		binary.LittleEndian.PutUint64(body[13+8*i:], t)
+	off := w.beginFrame(kindGroup)
+	w.stage = binary.LittleEndian.AppendUint64(w.stage, seq)
+	w.stage = binary.LittleEndian.AppendUint32(w.stage, uint32(len(tokens)))
+	for _, t := range tokens {
+		w.stage = binary.LittleEndian.AppendUint64(w.stage, t)
 	}
-	if lsn, err = w.appendFrame(body); err != nil {
-		return 0, err
-	}
-	if nosync {
-		return lsn, nil
-	}
-	if err := w.syncLocked(); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	return w.barrierLocked(off, nosync)
 }
 
 // RootUpdate is one named-root assignment carried by a prepare record.
@@ -212,25 +255,18 @@ type RootUpdate struct {
 func (w *WAL) AppendPrepare(token uint64, roots []RootUpdate, frees []page.ID) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := make([]byte, 0, 1+8+4+12*len(roots)+4+8*len(frees))
-	body = append(body, kindPrepare)
-	body = binary.LittleEndian.AppendUint64(body, token)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(roots)))
+	off := w.beginFrame(kindPrepare)
+	w.stage = binary.LittleEndian.AppendUint64(w.stage, token)
+	w.stage = binary.LittleEndian.AppendUint32(w.stage, uint32(len(roots)))
 	for _, r := range roots {
-		body = binary.LittleEndian.AppendUint32(body, uint32(r.Slot))
-		body = binary.LittleEndian.AppendUint64(body, uint64(r.ID))
+		w.stage = binary.LittleEndian.AppendUint32(w.stage, uint32(r.Slot))
+		w.stage = binary.LittleEndian.AppendUint64(w.stage, uint64(r.ID))
 	}
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(frees)))
+	w.stage = binary.LittleEndian.AppendUint32(w.stage, uint32(len(frees)))
 	for _, id := range frees {
-		body = binary.LittleEndian.AppendUint64(body, uint64(id))
+		w.stage = binary.LittleEndian.AppendUint64(w.stage, uint64(id))
 	}
-	if lsn, err = w.appendFrame(body); err != nil {
-		return 0, err
-	}
-	if err := w.syncLocked(); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	return w.barrierLocked(off, false)
 }
 
 // AppendDecide logs the decision for a prepared transaction and forces
@@ -252,24 +288,22 @@ func (w *WAL) AppendDecideNoSync(token uint64, commit bool) (lsn uint64, err err
 func (w *WAL) appendDecide(token uint64, commit, nosync bool) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := make([]byte, 1+8+1)
-	body[0] = kindDecide
-	binary.LittleEndian.PutUint64(body[1:9], token)
+	off := w.beginFrame(kindDecide)
+	w.stage = binary.LittleEndian.AppendUint64(w.stage, token)
+	var c byte
 	if commit {
-		body[9] = 1
+		c = 1
 	}
-	if lsn, err = w.appendFrame(body); err != nil {
-		return 0, err
-	}
-	if !nosync {
-		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
+	w.stage = append(w.stage, c)
+	return w.barrierLocked(off, nosync)
 }
 
+// syncLocked writes whatever is staged and forces the log to stable
+// storage.
 func (w *WAL) syncLocked() error {
+	if err := w.writeLocked(); err != nil {
+		return err
+	}
 	if w.pending == 0 {
 		return nil
 	}
@@ -281,7 +315,8 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Sync forces buffered records to stable storage.
+// Sync writes any staged records and forces the log to stable
+// storage.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -344,6 +379,9 @@ func (w *WAL) Replay(apply func(id page.ID, p *page.Page) error) error {
 func (w *WAL) ReplayFull(apply func(id page.ID, p *page.Page) error) (*ReplayResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.writeLocked(); err != nil {
+		return nil, err
+	}
 
 	res := &ReplayResult{}
 	stash := make(map[uint64]*PreparedTxn)
@@ -517,10 +555,13 @@ type ScanReport struct {
 // Scan walks the log read-only and reports what Replay would find,
 // without applying or truncating anything — the scrub path. Unlike
 // Replay it never fails on a damaged log: damage ends the scan and is
-// reported in the result.
+// reported in the result. Staged records are written first; if that
+// write fails they are dropped (they are past the last barrier, so
+// Replay would drop them too) and the scan covers what was written.
 func (w *WAL) Scan() ScanReport {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	_ = w.writeLocked()
 	var rep ScanReport
 	var off int64
 	for off < w.size {
@@ -607,11 +648,12 @@ func (w *WAL) Truncate() error {
 		return fmt.Errorf("wal: truncate sync: %w", err)
 	}
 	w.size = 0
+	w.stage = w.stage[:0]
 	w.pending = 0
 	return nil
 }
 
-// Close syncs and closes the log file.
+// Close writes any staged records, syncs and closes the log file.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
