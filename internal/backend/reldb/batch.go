@@ -266,14 +266,15 @@ func (d *DB) RefsToBatch(ids []hyper.NodeID) ([][]hyper.Edge, error) {
 	return gather(p, vals), nil
 }
 
-// nodeRow probes the NODE table for one decoded row.
+// nodeRow probes the NODE table for one decoded row, decoding it in
+// place under the leaf's pin.
 func (d *DB) nodeRow(id hyper.NodeID) (hyper.Node, bool, error) {
-	row, ok, err := d.node.Get(idKey(id))
+	var n hyper.Node
+	ok, err := d.node.View(idKey(id), func(row []byte) (err error) {
+		n, err = decodeNodeRow(id, row)
+		return err
+	})
 	if err != nil || !ok {
-		return hyper.Node{}, false, err
-	}
-	n, err := decodeNodeRow(id, row)
-	if err != nil {
 		return hyper.Node{}, false, err
 	}
 	return n, true, nil
@@ -281,6 +282,5 @@ func (d *DB) nodeRow(id hyper.NodeID) (hyper.Node, bool, error) {
 
 // existsRow probes the NODE table for bare existence.
 func (d *DB) existsRow(id hyper.NodeID) (bool, error) {
-	_, ok, err := d.node.Get(idKey(id))
-	return ok, err
+	return d.node.View(idKey(id), func([]byte) error { return nil })
 }

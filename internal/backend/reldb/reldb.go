@@ -269,7 +269,7 @@ func (d *DB) CreateFormNode(n hyper.Node, bm hyper.Bitmap, _ hyper.NodeID) error
 }
 
 func (d *DB) mustExist(id hyper.NodeID) error {
-	_, ok, err := d.node.Get(idKey(id))
+	ok, err := d.existsRow(id)
 	if err != nil {
 		return err
 	}
@@ -360,14 +360,11 @@ func (d *DB) AddRef(e hyper.Edge) error {
 
 // Node selects the NODE row by primary key.
 func (d *DB) Node(id hyper.NodeID) (hyper.Node, error) {
-	row, ok, err := d.node.Get(idKey(id))
-	if err != nil {
-		return hyper.Node{}, err
+	n, ok, err := d.nodeRow(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: node %d", hyper.ErrNotFound, id)
 	}
-	if !ok {
-		return hyper.Node{}, fmt.Errorf("%w: node %d", hyper.ErrNotFound, id)
-	}
-	return decodeNodeRow(id, row)
+	return n, err
 }
 
 // Hundred projects one attribute from the NODE row.
@@ -496,11 +493,15 @@ func (d *DB) Parent(id hyper.NodeID) (hyper.NodeID, bool, error) {
 	if err := d.mustExist(id); err != nil {
 		return 0, false, err
 	}
-	row, ok, err := d.childInv.Get(idKey(id))
+	var parent hyper.NodeID
+	ok, err := d.childInv.View(idKey(id), func(row []byte) error {
+		parent = hyper.NodeID(rowU64(row))
+		return nil
+	})
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	return hyper.NodeID(rowU64(row)), true, nil
+	return parent, true, nil
 }
 
 // PartOf selects the PARTINV rows.
@@ -535,14 +536,18 @@ func (d *DB) contentBlob(id hyper.NodeID, want hyper.Kind) (objstore.OID, error)
 	if n.Kind != want {
 		return 0, fmt.Errorf("%w: node %d is %s", hyper.ErrWrongKind, id, n.Kind)
 	}
-	v, ok, err := d.content.Get(idKey(id))
+	var oid objstore.OID
+	ok, err := d.content.View(idKey(id), func(v []byte) error {
+		oid = objstore.OID(btree.U64FromKey(v))
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, fmt.Errorf("%w: content of node %d", hyper.ErrNotFound, id)
 	}
-	return objstore.OID(btree.U64FromKey(v)), nil
+	return oid, nil
 }
 
 // Text selects a TextNode's out-of-line content.

@@ -118,3 +118,44 @@ func TestDuplicatePartEdgesPreserved(t *testing.T) {
 		t.Fatalf("partOf = %v (%v), want three rows", wholes, err)
 	}
 }
+
+// TestPointReadAllocs pins the relational point reads to zero
+// allocations on a warm database: the NODE and CHILDINV probes decode
+// the row in place under the leaf's pin, and a pin hit allocates
+// nothing. A copying B-tree Get or a per-pin handle put back on the
+// path fails here.
+func TestPointReadAllocs(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "rel.db"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	lay, _, err := hyper.Generate(db, hyper.GenConfig{LeafLevel: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	total := hyper.NodeID(lay.Total())
+	for _, c := range []struct {
+		name string
+		read func(id hyper.NodeID) error
+	}{
+		{"Hundred", func(id hyper.NodeID) error { _, err := db.Hundred(id); return err }},
+		{"Node", func(id hyper.NodeID) error { _, err := db.Node(id); return err }},
+		{"Parent", func(id hyper.NodeID) error { _, _, err := db.Parent(id); return err }},
+	} {
+		// AllocsPerRun's warm-up pass makes every page resident.
+		got := testing.AllocsPerRun(4, func() {
+			for id := hyper.NodeID(1); id <= total; id++ {
+				if err := c.read(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %.2f allocations per pass over %d nodes, want 0", c.name, got, total)
+		}
+	}
+}

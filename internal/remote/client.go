@@ -474,16 +474,6 @@ func (c *Client) fetchRoots() error {
 	return nil
 }
 
-// handle implements store.Handle over the client pool.
-type handle struct {
-	c *Client
-	f *buffer.Frame
-}
-
-func (h *handle) Page() *page.Page { return h.f.Page }
-func (h *handle) MarkDirty()       { h.c.pool.MarkDirty(h.f) }
-func (h *handle) Release()         { h.c.pool.Release(h.f) }
-
 // fetchPage fetches one page image from the server. It takes no locks
 // of its own, so any number of fetches can be in flight concurrently.
 //
@@ -552,7 +542,7 @@ func (c *Client) Get(id page.ID) (store.Handle, error) {
 		c.hits++
 		c.readSet[id] = c.versions[id]
 		c.mu.Unlock()
-		return &handle{c, f}, nil
+		return buffer.HandleOf(f), nil
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -568,7 +558,7 @@ func (c *Client) Get(id page.ID) (store.Handle, error) {
 	if f := c.pool.Get(id); f != nil {
 		// A concurrent Get or prefetch installed it while we fetched.
 		c.readSet[id] = c.versions[id]
-		return &handle{c, f}, nil
+		return buffer.HandleOf(f), nil
 	}
 	if err := c.checkReadVersionLocked(id, ver); err != nil { //hyperlint:allow lockorder -- mu deliberately serializes the session across this round trip; Close never takes Client.mu and unparks the wait via closedCh and the mux kill
 		return nil, err
@@ -576,7 +566,7 @@ func (c *Client) Get(id page.ID) (store.Handle, error) {
 	f := c.pool.Insert(id, img)
 	c.versions[id] = ver
 	c.readSet[id] = ver
-	return &handle{c, f}, nil
+	return buffer.HandleOf(f), nil
 }
 
 // ReadPage fetches one page image straight from the server, bypassing
@@ -834,7 +824,7 @@ func (c *Client) Alloc(t page.Type) (page.ID, store.Handle, error) {
 	f := c.pool.Insert(id, img)
 	c.pool.MarkDirty(f)
 	c.versions[id] = binary.LittleEndian.Uint64(resp[8:])
-	return id, &handle{c, f}, nil
+	return id, buffer.HandleOf(f), nil
 }
 
 // Free queues the page for release at the next Commit.

@@ -166,10 +166,10 @@ func TestOptimisticConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	ha.Page().Payload()[0] = 10
-	a.pool.MarkDirty(ha.(*handle).f)
+	ha.MarkDirty()
 	ha.Release()
 	hb.Page().Payload()[0] = 20
-	bc.pool.MarkDirty(hb.(*handle).f)
+	hb.MarkDirty()
 	hb.Release()
 
 	if err := a.Commit(); err != nil {
@@ -387,5 +387,35 @@ func TestCommitCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeCommit(enc[1 : len(enc)-3]); err == nil {
 		t.Fatal("truncated commit accepted")
+	}
+}
+
+// TestGetHitAllocs pins the client's warm read path: once a page is in
+// the workstation cache, a Get (which also records the read set) and
+// its Release allocate nothing.
+func TestGetHitAllocs(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	id, h, err := c.Alloc(page.TypeSlotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.MarkDirty()
+	h.Release()
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		h, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if got != 0 {
+		t.Fatalf("a warm Get+Release allocates %v times, want 0", got)
+	}
+	if hits, _, _ := c.CacheStats(); hits < 200 {
+		t.Fatalf("%d cache hits over 200 measured Gets", hits)
 	}
 }

@@ -5,6 +5,13 @@
 // distinction: a cold run starts with an empty pool (every access is a
 // disk or server fetch), a warm run finds the working set resident.
 //
+// A warm operation is a chain of pins, so a pin allocates nothing. The
+// eviction list is an intrusive ring: the frames themselves carry the
+// links, threaded through one sentinel per shard. Every frame owns one
+// Handle, made when the frame is inserted and handed out again for
+// every pin (see HandleOf); it holds no per-pin state, only the pool
+// and the frame.
+//
 // The pool is no-steal: dirty frames are never evicted, because the
 // write-ahead log is redo-only and an early write-back of uncommitted
 // data could not be undone after a crash. If every frame is dirty or
@@ -26,7 +33,6 @@ package buffer
 
 import (
 	"cmp"
-	"container/list"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,16 +51,39 @@ type Frame struct {
 	snap  atomic.Pointer[page.Page] // committed copy; always distinct from Page
 	pins  atomic.Int32
 	dirty atomic.Bool
-	// elem is the frame's position in its shard's eviction list. Only
-	// clean, unpinned frames are listed; everything else is ineligible,
-	// which keeps eviction O(1) even when the pool is full of dirty
-	// pages (bulk loads under the no-steal policy). Guarded by the
-	// shard mutex.
-	elem *list.Element
+	// prev and next link the frame into its shard's eviction ring;
+	// both are nil when it is not listed. Only clean, unpinned frames
+	// are listed; everything else is ineligible, which keeps eviction
+	// O(1) even when the pool is full of dirty pages (bulk loads under
+	// the no-steal policy). Guarded by the shard mutex.
+	prev, next *Frame
 	// dirtyAt is 1 + the frame's index in its shard's dirty list, or 0
 	// when it is not listed. Guarded by the shard mutex.
 	dirtyAt int
+	handle  Handle // the frame's one handle, reused by every pin
 }
+
+// Handle is a pinned page as the page stores hand it out: it releases
+// and dirties through the pool that owns the frame. A frame has exactly
+// one Handle, so handing it out costs nothing; like the frame, it may
+// be used only while the caller holds a pin.
+type Handle struct {
+	p *Pool
+	f *Frame
+}
+
+// HandleOf returns the frame's handle. The pin the caller holds on f
+// moves to the handle: it ends with the handle's Release.
+func HandleOf(f *Frame) *Handle { return &f.handle }
+
+// Page returns the frame's working image.
+func (h *Handle) Page() *page.Page { return h.f.Page }
+
+// MarkDirty flags the frame as modified (see Pool.MarkDirty).
+func (h *Handle) MarkDirty() { h.p.MarkDirty(h.f) }
+
+// Release unpins the frame (see Pool.Release).
+func (h *Handle) Release() { h.p.Release(h.f) }
 
 // Dirty reports whether the frame has modifications that are not yet in
 // the main database file.
@@ -90,7 +119,10 @@ type shard struct {
 	mu     sync.Mutex
 	cap    int
 	frames map[page.ID]*Frame
-	lru    *list.List // of evictable (clean, unpinned) *Frame; front = MRU
+	// lru is the sentinel of the ring of evictable (clean, unpinned)
+	// frames: lru.next is the most recently released, lru.prev the
+	// next victim.
+	lru Frame
 	// dirty lists the resident frames flagged dirty, in no order.
 	dirty []*Frame
 }
@@ -125,7 +157,10 @@ func New(capacity int) *Pool {
 		if i < capacity%n {
 			c++
 		}
-		p.shards[i] = shard{cap: c, frames: make(map[page.ID]*Frame, c), lru: list.New()}
+		sh := &p.shards[i]
+		sh.cap = c
+		sh.frames = make(map[page.ID]*Frame, c)
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	}
 	return p
 }
@@ -202,6 +237,7 @@ func (p *Pool) GetOrInsert(id page.ID, img *page.Page) (*Frame, bool) {
 func (p *Pool) insertLocked(sh *shard, id page.ID, img *page.Page) *Frame {
 	p.makeRoomLocked(sh)
 	f := &Frame{ID: id, Page: img}
+	f.handle = Handle{p, f}
 	f.pins.Store(1)
 	cp := *img
 	f.snap.Store(&cp)
@@ -215,9 +251,9 @@ func (sh *shard) pinLocked(f *Frame) {
 }
 
 func (sh *shard) unlistLocked(f *Frame) {
-	if f.elem != nil {
-		sh.lru.Remove(f.elem)
-		f.elem = nil
+	if f.next != nil {
+		f.prev.next, f.next.prev = f.next, f.prev
+		f.prev, f.next = nil, nil
 	}
 }
 
@@ -227,16 +263,19 @@ func (sh *shard) unlistLocked(f *Frame) {
 // eviction list as a zombie, where its eventual eviction would delete
 // whatever fresh frame now holds the same page ID.
 func (sh *shard) relistLocked(f *Frame) {
-	if f.elem == nil && f.pins.Load() == 0 && !f.dirty.Load() {
+	if f.next == nil && f.pins.Load() == 0 && !f.dirty.Load() {
 		if cur, ok := sh.frames[f.ID]; ok && cur == f {
-			f.elem = sh.lru.PushFront(f)
+			f.prev, f.next = &sh.lru, sh.lru.next
+			f.next.prev = f
+			sh.lru.next = f
 		}
 	}
 }
 
 // Release unpins a frame previously returned by Get or Insert. When the
 // pin count drops to zero the frame becomes eligible for eviction (once
-// clean).
+// clean), at the most recently used end of the ring: the order is the
+// order of releases, so it is the exact LRU order of last use.
 func (p *Pool) Release(f *Frame) {
 	sh := p.shardFor(f.ID)
 	sh.mu.Lock()
@@ -253,13 +292,11 @@ func (p *Pool) Release(f *Frame) {
 // eviction list is empty and the shard grows instead (no-steal).
 func (p *Pool) makeRoomLocked(sh *shard) {
 	for len(sh.frames) >= sh.cap {
-		e := sh.lru.Back()
-		if e == nil {
+		f := sh.lru.prev
+		if f == &sh.lru {
 			return // everything dirty or pinned: allow growth
 		}
-		f := e.Value.(*Frame)
-		sh.lru.Remove(e)
-		f.elem = nil
+		sh.unlistLocked(f)
 		delete(sh.frames, f.ID)
 		p.evictions.Add(1)
 	}
@@ -366,7 +403,10 @@ func (p *Pool) Drop() {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		sh.frames = make(map[page.ID]*Frame, sh.cap)
-		sh.lru.Init()
+		// Listed frames keep stale links: they are unpinned and clean,
+		// so no pin holder or dirty list reaches them again, and
+		// resetting only the sentinel keeps Drop O(1).
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		for _, f := range sh.dirty {
 			f.dirtyAt = 0
 		}

@@ -12,11 +12,12 @@ import (
 
 // TestCommitAllocs puts a ceiling on what a 13-page NoSync commit
 // allocates (the size of a basket edit's commit). The WAL builds its
-// records in one reused stage and the pool keeps its dirty set, so
-// what is left is per page: the handle of each Get, the committed
-// snapshot installed for readers and its version-ring entry. Measured:
-// 52 per commit; before staging and the kept dirty set, 88 (a make per
-// log record, the frame-table scan's growing slice and sort.Slice).
+// records in one reused stage, the pool keeps its dirty set and a page
+// Get hands out the frame's own handle, so what is left is per page:
+// the committed snapshot installed for readers and its version-ring
+// entry. Measured: 26 per commit; with an allocated handle per Get, 52;
+// before staging and the kept dirty set, 88 (a make per log record, the
+// frame-table scan's growing slice and sort.Slice).
 func TestCommitAllocs(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "db"), &Options{NoSync: true})
 	if err != nil {
@@ -51,8 +52,8 @@ func TestCommitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a := testing.AllocsPerRun(200, commit); a > 52 {
-		t.Fatalf("a 13-page commit allocates %v times, ceiling 52", a)
+	if a := testing.AllocsPerRun(200, commit); a > 26 {
+		t.Fatalf("a 13-page commit allocates %v times, ceiling 26", a)
 	}
 }
 
@@ -120,6 +121,41 @@ func TestTornCommitWrite(t *testing.T) {
 				t.Fatalf("%s: workload survived its own power cut", label)
 			}
 			verifySurvivor(t, base, batches, perBatch, label)
+		}
+	}
+}
+
+// TestGetHitAllocs pins the warm read path's floor: a Get that hits
+// the pool, and its Release, allocate nothing, on the store (which
+// hands out the frame's own handle) and on a ReadView (whose handle
+// wraps the committed snapshot by value).
+func TestGetHitAllocs(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "db"), &Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, h, err := s.Alloc(page.TypeSlotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []struct {
+		name string
+		get  func(page.ID) (Handle, error)
+	}{{"Store", s.Get}, {"ReadView", s.ReadView().Get}} {
+		got := testing.AllocsPerRun(200, func() {
+			h, err := sp.get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		})
+		if got != 0 {
+			t.Errorf("%s: a hit Get+Release allocates %v times, want 0", sp.name, got)
 		}
 	}
 }

@@ -451,34 +451,25 @@ func (s *Store) installMetaSnap() {
 	s.metaSnap.Store(&cp)
 }
 
-// handle implements Handle for the local store.
-type handle struct {
-	s *Store
-	f *buffer.Frame
-}
-
-func (h *handle) Page() *page.Page { return h.f.Page }
-func (h *handle) MarkDirty()       { h.s.pool.MarkDirty(h.f) }
-func (h *handle) Release()         { h.s.pool.Release(h.f) }
-
 // Get pins the page with the given ID, reading it from disk on a miss.
-// Get never takes the writer lock: any number of goroutines may call it
-// concurrently, and no lock is held across the disk read. Two goroutines
-// that both miss on the same page both read it and race to insert; the
-// loser adopts the winner's frame.
+// The handle is the frame's own (buffer.HandleOf), so a hit allocates
+// nothing. Get never takes the writer lock: any number of goroutines
+// may call it concurrently, and no lock is held across the disk read.
+// Two goroutines that both miss on the same page both read it and race
+// to insert; the loser adopts the winner's frame.
 func (s *Store) Get(id page.ID) (Handle, error) {
 	if id == 0 || id == page.Invalid {
 		return nil, fmt.Errorf("store: get page %d: reserved page", id)
 	}
 	if f := s.pool.Get(id); f != nil {
-		return &handle{s, f}, nil
+		return buffer.HandleOf(f), nil
 	}
 	img := &page.Page{}
 	if err := s.readPage(id, img); err != nil {
 		return nil, err
 	}
 	f, _ := s.pool.GetOrInsert(id, img)
-	return &handle{s, f}, nil
+	return buffer.HandleOf(f), nil
 }
 
 // readPage reads a page from the main file under the write-back fence.
@@ -517,8 +508,7 @@ func (s *Store) Alloc(t page.Type) (page.ID, Handle, error) {
 		return page.Invalid, nil, err
 	}
 	img := page.New(t)
-	f := s.pool.Insert(id, img)
-	h := &handle{s, f}
+	h := buffer.HandleOf(s.pool.Insert(id, img))
 	h.MarkDirty()
 	return id, h, nil
 }
