@@ -15,9 +15,11 @@ check: vet test-race stress chaos writers crash cluster externalcheck
 # Single-writer/multi-reader stress: concurrent readers race a
 # committing writer under the race detector, and every answer must
 # match single-threaded ground truth (see concurrent_stress_test.go
-# and the backendtest ConcurrentReads conformance check).
+# and the backendtest ConcurrentReads conformance check). Every
+# package's Concurrent-named tests run, as in CI's race-stress step:
+# the buffer pool's pin/dirty races among them.
 stress:
-	$(GO) test -race -run Concurrent -count=1 -v .
+	$(GO) test -race -run Concurrent -count=1 -v ./...
 
 # Fault-injection soak: the full benchmark matrix over the page server
 # behind a proxy dropping, delaying and mid-frame-cutting transfers;

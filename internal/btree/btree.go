@@ -48,14 +48,52 @@ var ErrTooLarge = errors.New("btree: key or value too large")
 // Tree is a B+tree rooted at a named store root slot.
 type Tree struct {
 	sp       store.Space
+	paths    PathGetter // sp's path capability, or nil
 	rootSlot int
 	root     page.ID
 }
+
+// PathGetter is an optional capability of a Space whose misses are
+// round trips (the page-server client): GetPath pins a page exactly
+// like Get, but on a miss it also fetches, in the same round trip, the
+// pages below it on the way to the leaf that holds key. A descent
+// through such a space waits on one fetch per missing run of its path
+// instead of one per page. Only the requested page counts as read; the
+// others are cached and count when the descent pins them.
+type PathGetter interface {
+	GetPath(id page.ID, key PathKey) (store.Handle, error)
+}
+
+// MaxPathKey is the longest key a PathKey carries. Every index key in
+// the repository's schemas (uniqueIds, OIDs, attribute entries) fits;
+// a descent for a longer key pins with plain Get.
+const MaxPathKey = 16
+
+// PathKey is a short search key passed by value: a slice through an
+// interface call would make every caller's key buffer escape to the
+// heap, also on the local store.
+type PathKey struct {
+	n uint8
+	b [MaxPathKey]byte
+}
+
+// set copies key in and reports whether it fits.
+func (k *PathKey) set(key []byte) bool {
+	if len(key) > MaxPathKey {
+		return false
+	}
+	k.n = uint8(copy(k.b[:], key))
+	return true
+}
+
+// Bytes returns the key. The slice aliases k.
+func (k *PathKey) Bytes() []byte { return k.b[:k.n] }
 
 // Open returns the tree stored in the given root slot, creating an
 // empty tree (and claiming the slot) if it is unset.
 func Open(sp store.Space, rootSlot int) (*Tree, error) {
 	t := &Tree{sp: sp, rootSlot: rootSlot, root: sp.Root(rootSlot)}
+	t.paths, _ = sp.(PathGetter)
 	if t.root == page.Invalid {
 		id, h, err := sp.Alloc(page.TypeBTree)
 		if err != nil {
@@ -189,6 +227,43 @@ func (n node) childFor(key []byte) page.ID {
 	return c
 }
 
+// ChildFor is one step of a descent for a server that walks a path on
+// a client's behalf (see PathGetter): it returns the child of the
+// interior B-tree page p that the descent for key enters next. ok is
+// false when p is a leaf, not a B-tree page, or malformed, so that a
+// walk over damaged or foreign pages ends instead of following a
+// pointer it cannot trust.
+func ChildFor(p *page.Page, key []byte) (child page.ID, ok bool) {
+	if p.Type() != page.TypeBTree {
+		return page.Invalid, false
+	}
+	n := node{p.Payload()}
+	if n.leaf() || !n.interiorWellFormed() {
+		return page.Invalid, false
+	}
+	return n.childFor(key), true
+}
+
+// interiorWellFormed reports whether every slot of an interior node
+// names a cell that lies inside the payload, so search cannot index
+// out of bounds.
+func (n node) interiorWellFormed() bool {
+	low := n.lowWater()
+	if low > payloadSize {
+		return false
+	}
+	for i := 0; i < n.nkeys(); i++ {
+		off := n.cellOff(i)
+		if off < low || off+10 > payloadSize {
+			return false
+		}
+		if off+10+int(binary.LittleEndian.Uint16(n.p[off:])) > payloadSize {
+			return false
+		}
+	}
+	return true
+}
+
 // removeCell deletes slot i (cell bytes become garbage until compaction).
 func (n node) removeCell(i int) {
 	k := n.nkeys()
@@ -266,11 +341,20 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 }
 
 // leafFor descends from the root to the leaf that would hold key and
-// returns it pinned.
+// returns it pinned. Over a PathGetter each page is pinned with
+// GetPath, so a miss brings the rest of the path with it.
 func (t *Tree) leafFor(key []byte) (store.Handle, node, error) {
+	var pk PathKey
+	paths := t.paths != nil && pk.set(key)
 	id := t.startRoot()
 	for {
-		h, err := t.sp.Get(id)
+		var h store.Handle
+		var err error
+		if paths {
+			h, err = t.paths.GetPath(id, pk)
+		} else {
+			h, err = t.sp.Get(id)
+		}
 		if err != nil {
 			return nil, node{}, err
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/buffer"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/pager"
@@ -94,7 +95,9 @@ type Client struct {
 
 	// batchOK clears when the server refuses opGetPages; the client
 	// then degrades to per-page fetches for the rest of its life.
+	// pathOK does the same for opGetPath: GetPath becomes Get.
 	batchOK atomic.Bool
+	pathOK  atomic.Bool
 
 	hits, misses        uint64        // guarded by mu
 	commitsOK           atomic.Uint64 // transactions acknowledged by the server
@@ -210,13 +213,14 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		opts:       opts,
 		rng:        rand.New(rand.NewSource(rand.Int63())),
 		closedCh:   make(chan struct{}),
-		pool:       buffer.New(opts.PoolPages),
+		pool:       buffer.NewPinOnly(opts.PoolPages), // every read pins
 		versions:   make(map[page.ID]uint64),
 		readSet:    make(map[page.ID]uint64),
 		rootsDirty: make(map[int]page.ID),
 		hist:       make(map[byte]*opHist),
 	}
 	c.batchOK.Store(true)
+	c.pathOK.Store(true)
 	for i := 0; i < opts.Conns; i++ {
 		conn, err := opts.Dialer(addr)
 		if err != nil {
@@ -268,7 +272,7 @@ func transient(err error) bool {
 // exception — they go through the token-resolution path instead.
 func idempotentOp(op byte) bool {
 	switch op {
-	case opGetPage, opGetPages, opRoots, opPing, opStats, opAlloc,
+	case opGetPage, opGetPages, opGetPath, opRoots, opPing, opStats, opAlloc,
 		opCommitCheck, opPrepare, opDecide, opRouteTable:
 		return true
 	}
@@ -535,7 +539,19 @@ func (c *Client) checkReadVersionLocked(id page.ID, ver uint64) error {
 // records it in the transaction's read set. The session mutex is
 // released across the server round trip, so concurrent Gets pipeline
 // over the connection pool.
-func (c *Client) Get(id page.ID) (store.Handle, error) {
+func (c *Client) Get(id page.ID) (store.Handle, error) { return c.get(id, nil) }
+
+// GetPath is Get for a B-tree descent (btree.PathGetter): on a miss,
+// the same round trip also brings the pages below id on the path to
+// the leaf for key, which enter the cache like prefetched pages — in
+// the pool and the version table, not the read set — so the rest of
+// the descent hits. A hit costs exactly what Get's does.
+func (c *Client) GetPath(id page.ID, key btree.PathKey) (store.Handle, error) {
+	return c.get(id, key.Bytes())
+}
+
+// get is Get and GetPath: key is nil for a plain page fetch.
+func (c *Client) get(id page.ID, key []byte) (store.Handle, error) {
 	c.mu.Lock()
 	c.syncSessionLocked()
 	if f := c.pool.Get(id); f != nil {
@@ -547,7 +563,14 @@ func (c *Client) Get(id page.ID) (store.Handle, error) {
 	c.misses++
 	c.mu.Unlock()
 
-	ver, img, err := c.fetchPage(id)
+	var ver uint64
+	var img *page.Page
+	var err error
+	if key != nil && c.pathOK.Load() {
+		ver, img, err = c.fetchPath(id, key)
+	} else {
+		ver, img, err = c.fetchPage(id)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -736,29 +759,97 @@ func (c *Client) fetchPageBatch(ids []page.ID, strict bool) error {
 	if len(resp) != len(ids)*(8+page.Size) {
 		return errors.New("remote: bad GetPages response")
 	}
+	// One damaged item fails the whole batch with the typed error;
+	// fetchPages degrades to per-page fetches, which refetch that page
+	// alone and install the rest unharmed.
+	return c.installPages(len(ids), func(i int) (page.ID, []byte) {
+		return ids[i], resp[i*(8+page.Size):]
+	}, strict)
+}
+
+// installPages validates n fetched pages and installs them into the
+// pool in order, under c.mu. item(i) returns the i-th page's ID and
+// its wire record, version u64 | image (anything after it is ignored).
+// A damaged image stops the installation with the typed
+// *pager.ErrCorruptPage; the pages before it stay installed. strict
+// propagates to installFetchedLocked.
+func (c *Client) installPages(n int, item func(i int) (page.ID, []byte), strict bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	off := 0
-	for _, id := range ids {
-		ver := binary.LittleEndian.Uint64(resp[off:])
+	for i := 0; i < n; i++ {
+		id, rec := item(i)
 		img := &page.Page{}
-		copy(img.Bytes(), resp[off+8:off+8+page.Size])
-		off += 8 + page.Size
+		copy(img.Bytes(), rec[8:8+page.Size])
 		if verr := img.Validate(); verr != nil {
-			// One damaged item fails the whole batch with the typed
-			// error; fetchPages degrades to per-page fetches, which
-			// refetch this page alone and install the rest unharmed.
 			return &pager.ErrCorruptPage{
 				ID:     id,
 				Detail: "image corrupted in transit: " + verr.Error(),
 			}
 		}
 		c.fetches.Add(1)
-		if err := c.installFetchedLocked(id, ver, img, strict); err != nil { //hyperlint:allow lockorder -- mu deliberately serializes the session across this round trip; Close never takes Client.mu and unparks the wait via closedCh and the mux kill
+		if err := c.installFetchedLocked(id, binary.LittleEndian.Uint64(rec), img, strict); err != nil { //hyperlint:allow lockorder -- mu deliberately serializes the session across this round trip; Close never takes Client.mu and unparks the wait via closedCh and the mux kill
 			return err
 		}
 	}
 	return nil
+}
+
+// fetchPath fetches page id together with the rest of its B-tree path
+// for key in one opGetPath round trip. The pages below id are
+// installed like prefetched pages (never raising a conflict: a page
+// whose version contradicts the read set is skipped, and the descent's
+// own fetch surfaces the conflict); id itself is returned for the
+// caller to install, as fetchPage's result is. Transit damage to id's
+// image is refetched within the retry budget, as in fetchPage; damage
+// below it only ends the installed path there. A server that refuses
+// the opcode switches the client to plain fetches for good.
+func (c *Client) fetchPath(id page.ID, key []byte) (uint64, *page.Page, error) {
+	req := make([]byte, 0, 9+len(key))
+	req = append(req, opGetPath)
+	req = binary.LittleEndian.AppendUint64(req, uint64(id))
+	req = append(req, key...)
+	for attempt := 0; ; attempt++ {
+		resp, err := c.call(req)
+		var se *ServerError
+		if errors.As(err, &se) {
+			c.pathOK.Store(false)
+			c.downgrades.Add(1)
+			return c.fetchPage(id)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if len(resp) < 4 {
+			return 0, nil, errors.New("remote: bad GetPath response")
+		}
+		n := int(binary.LittleEndian.Uint32(resp))
+		body := resp[4:]
+		if n < 1 || n > maxPathPages || len(body) != n*pathItemLen || page.ID(binary.LittleEndian.Uint64(body)) != id {
+			return 0, nil, errors.New("remote: bad GetPath response")
+		}
+		img := &page.Page{}
+		copy(img.Bytes(), body[16:pathItemLen])
+		if verr := img.Validate(); verr != nil {
+			if attempt < c.opts.RetryLimit {
+				c.corruptRefetches.Add(1)
+				continue
+			}
+			return 0, nil, &pager.ErrCorruptPage{
+				ID:     id,
+				Detail: "image corrupted in transit: " + verr.Error(),
+			}
+		}
+		c.fetches.Add(1)
+		// Non-strict installation raises no conflict, and a corrupt
+		// image only ends the path, so nothing here can fail the Get.
+		if n > 1 {
+			_ = c.installPages(n-1, func(i int) (page.ID, []byte) {
+				r := body[(i+1)*pathItemLen:]
+				return page.ID(binary.LittleEndian.Uint64(r)), r[8:]
+			}, false)
+		}
+		return binary.LittleEndian.Uint64(body[8:]), img, nil
+	}
 }
 
 // installFetchedLocked installs one fetched page under c.mu. In strict
@@ -1185,4 +1276,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-var _ store.Space = (*Client)(nil)
+var (
+	_ store.Space      = (*Client)(nil)
+	_ btree.PathGetter = (*Client)(nil)
+)

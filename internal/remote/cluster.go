@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/store"
 )
@@ -236,15 +237,25 @@ func (cc *ClusterClient) routeCheck(id page.ID) (int, error) {
 // Get pins a page from its owning shard. A transport failure that
 // survives the session's own retry budget triggers one routing-table
 // refresh — the shard may have moved — before the fetch is retried.
-func (cc *ClusterClient) Get(id page.ID) (store.Handle, error) {
+func (cc *ClusterClient) Get(id page.ID) (store.Handle, error) { return cc.get(id, nil) }
+
+// GetPath is Get for a B-tree descent (btree.PathGetter): the owning
+// shard ships the path below id as far as the path stays on that
+// shard, and the descent's next pin routes to wherever it left off.
+func (cc *ClusterClient) GetPath(id page.ID, key btree.PathKey) (store.Handle, error) {
+	return cc.get(id, key.Bytes())
+}
+
+// get routes Client.get to the owning shard.
+func (cc *ClusterClient) get(id page.ID, key []byte) (store.Handle, error) {
 	sh, err := cc.routeCheck(id)
 	if err != nil {
 		return nil, err
 	}
-	h, gerr := cc.sub(sh).Get(localIDOf(id))
+	h, gerr := cc.sub(sh).get(localIDOf(id), key)
 	if gerr != nil && transient(gerr) {
 		if rerr := cc.RefreshTable(); rerr == nil {
-			return cc.sub(sh).Get(localIDOf(id))
+			return cc.sub(sh).get(localIDOf(id), key)
 		}
 	}
 	return h, gerr
@@ -653,4 +664,7 @@ func (cc *ClusterClient) Close() error {
 	return first
 }
 
-var _ store.Space = (*ClusterClient)(nil)
+var (
+	_ store.Space      = (*ClusterClient)(nil)
+	_ btree.PathGetter = (*ClusterClient)(nil)
+)

@@ -3,8 +3,10 @@ package remote
 import (
 	"encoding/binary"
 	"errors"
+	"sync/atomic"
 	"testing"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/pager"
 	"hypermodel/internal/storage/store"
@@ -213,5 +215,138 @@ func TestTransitCorruptionRefetches(t *testing.T) {
 	rs := c.RetryStats()
 	if rs.CorruptRefetches != 1 {
 		t.Fatalf("CorruptRefetches = %d, want 1", rs.CorruptRefetches)
+	}
+}
+
+// seedTree builds a two-level B-tree server-side in root slot 0
+// (8-byte keys, value = low key byte), makes it durable, and drops the
+// server's cache. It returns the root and the leaf that holds key(k).
+func seedTree(t *testing.T, st *store.Store, n int, k uint64) (root, leaf page.ID) {
+	t.Helper()
+	tr, err := btree.Open(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tr.Put(btree.U64Key(uint64(i)), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	root = st.Root(0)
+	h, err := st.Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, ok := btree.ChildFor(h.Page(), btree.U64Key(k))
+	h.Release()
+	if !ok {
+		t.Fatalf("tree of %d keys is a single leaf", n)
+	}
+	if err := st.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	return root, leaf
+}
+
+// TestPathCorruptRootSurfacesTyped: a path fetch whose requested page
+// is damaged on the server's disk fails with the same typed error a
+// plain Get reports.
+func TestPathCorruptRootSurfacesTyped(t *testing.T) {
+	addr, _, st, fs := startMemServer(t)
+	root, _ := seedTree(t, st, 1000, 10)
+	corruptStorePage(t, fs, root, 300, 16)
+
+	c := dial(t, addr)
+	tr, err := btree.Open(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = tr.Get(btree.U64Key(10))
+	var ce *pager.ErrCorruptPage
+	if !errors.As(err, &ce) || ce.ID != root {
+		t.Fatalf("descent over a corrupt root returned %v, want *pager.ErrCorruptPage for page %d", err, root)
+	}
+	if !c.pathOK.Load() {
+		t.Fatal("a corrupt page switched path fetches off")
+	}
+}
+
+// TestPathCorruptLeafEndsPath: a page damaged on the server's disk
+// below the requested one ends the shipped path there. The descent
+// still gets the root, then reports the damaged leaf exactly as a
+// page-at-a-time descent would, and leaves on healthy pages answer.
+func TestPathCorruptLeafEndsPath(t *testing.T) {
+	addr, _, st, fs := startMemServer(t)
+	root, leaf := seedTree(t, st, 1000, 10)
+	corruptStorePage(t, fs, leaf, 300, 16)
+
+	c := dial(t, addr)
+	tr, err := btree.Open(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = tr.Get(btree.U64Key(10))
+	var ce *pager.ErrCorruptPage
+	if !errors.As(err, &ce) || ce.ID != leaf {
+		t.Fatalf("descent over a corrupt leaf returned %v, want *pager.ErrCorruptPage for page %d", err, leaf)
+	}
+	if missing := c.missingOf([]page.ID{root}); len(missing) != 0 {
+		t.Fatal("the healthy root did not arrive with the path")
+	}
+	v, ok, err := tr.Get(btree.U64Key(999))
+	if err != nil || !ok || v[0] != byte(999%256) {
+		t.Fatalf("healthy leaf after a corrupt one: %v %v %v", v, ok, err)
+	}
+}
+
+// TestPathTransitCorruption: transit damage to the requested page is
+// refetched within the retry budget, like Get's; damage to a page
+// below it ends the installed path, and the descent fetches that page
+// itself. Either way the answer is right and nothing damaged is
+// cached.
+func TestPathTransitCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		keys      int // 100 keys fit one leaf; 1000 make a root and leaves
+		refetches uint64
+	}{
+		{"requested", 100, 1},
+		{"below", 1000, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newBackedServer(t)
+			var armed atomic.Bool
+			addr := scriptedServer(t, srv, func(frame int, req []byte) scriptStep {
+				// actCorrupt flips the last byte: the deepest page shipped.
+				if len(req) > 0 && req[0] == opGetPath && armed.CompareAndSwap(true, false) {
+					return scriptStep{act: actCorrupt}
+				}
+				return scriptStep{}
+			})
+			c, err := Dial(addr, fastRetry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			buildTree(t, c, tc.keys, 8)
+			tr, err := btree.Open(c, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true)
+			v, ok, err := tr.Get(btree.U64Key(42))
+			if err != nil || !ok || v[0] != 42 {
+				t.Fatalf("descent through transit corruption: %v %v %v", v, ok, err)
+			}
+			if armed.Load() {
+				t.Fatal("the descent sent no opGetPath")
+			}
+			if got := c.RetryStats().CorruptRefetches; got != tc.refetches {
+				t.Fatalf("CorruptRefetches = %d, want %d", got, tc.refetches)
+			}
+		})
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/fault"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/store"
@@ -26,6 +28,7 @@ const (
 	actSwallow                        // dispatch but never answer (hang the client)
 	actTruncate                       // dispatch, send truncateAt bytes of the answer, close
 	actCorrupt                        // dispatch, flip the answer's last payload byte, send
+	actUnknownOp                      // answer statusBadRequest without dispatching, as a server without the opcode does
 )
 
 type scriptStep struct {
@@ -80,6 +83,11 @@ func scriptedServer(t *testing.T, srv *Server, script func(frame int, req []byte
 						return
 					case actReject:
 						if writeFrame(conn, withID(statusError, []byte("scripted rejection"))) != nil {
+							return
+						}
+						continue
+					case actUnknownOp:
+						if writeFrame(conn, withID(statusBadRequest, []byte("unknown opcode"))) != nil {
 							return
 						}
 						continue
@@ -432,6 +440,44 @@ func TestBatchDowngrade(t *testing.T) {
 	}
 	if _, batched2 := c.FrameStats(); batched2 != 1 {
 		t.Fatalf("client re-attempted refused batch (frames %d)", batched2)
+	}
+}
+
+// TestPathDowngrade: a server that does not know opGetPath answers it
+// statusBadRequest. The descent still completes on plain page fetches,
+// the downgrade is recorded, and the client never sends opGetPath
+// again.
+func TestPathDowngrade(t *testing.T) {
+	srv := newBackedServer(t)
+	var pathFrames atomic.Int32
+	addr := scriptedServer(t, srv, func(frame int, req []byte) scriptStep {
+		if len(req) > 0 && req[0] == opGetPath {
+			pathFrames.Add(1)
+			return scriptStep{act: actUnknownOp}
+		}
+		return scriptStep{act: actServe}
+	})
+	c, err := Dial(addr, fastRetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buildTree(t, c, 1000, 8)
+	tr, err := btree.Open(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i += 97 {
+		v, ok, err := tr.Get(btree.U64Key(uint64(i)))
+		if err != nil || !ok || v[0] != byte(i) {
+			t.Fatalf("key %d against a path-refusing server: %v %v %v", i, v, ok, err)
+		}
+	}
+	if n := pathFrames.Load(); n != 1 {
+		t.Fatalf("opGetPath sent %d times, want exactly the one refused attempt", n)
+	}
+	if rs := c.RetryStats(); rs.Downgrades != 1 {
+		t.Fatalf("downgrades = %d, want 1", rs.Downgrades)
 	}
 }
 

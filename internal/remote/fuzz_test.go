@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/store"
 )
@@ -151,6 +152,18 @@ func FuzzServerStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer st.Close()
+	// opGetPath seeds: a truncated body, a root that is not a B-tree
+	// page, and the deepest path of a three-level tree.
+	f.Add(muxFrame(8, opGetPath, 1, 2, 3))
+	slotted, h, err := st.Alloc(page.TypeSlotted)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h.Release()
+	f.Add(muxFrame(9, binary.LittleEndian.AppendUint64([]byte{opGetPath}, uint64(slotted))...))
+	root, last := deepTree(f, st)
+	deepest := binary.LittleEndian.AppendUint64([]byte{opGetPath}, uint64(root))
+	f.Add(muxFrame(10, append(deepest, last...)...))
 	srv := NewServer(st)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		cli, conn := net.Pipe()
@@ -168,4 +181,42 @@ func FuzzServerStream(f *testing.F) {
 			t.Fatal("server handler wedged on fuzzed stream")
 		}
 	})
+}
+
+// deepTree commits a B-tree of at least three levels into root slot 0
+// (long keys keep the fanout small) and returns its root and its
+// largest key.
+func deepTree(f *testing.F, st *store.Store) (page.ID, []byte) {
+	f.Helper()
+	tr, err := btree.Open(st, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := make([]byte, 200)
+	for i := 0; i < 1000; i++ {
+		copy(key, btree.U64Key(uint64(i)))
+		if err := tr.Put(key, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		f.Fatal(err)
+	}
+	depth := 1
+	for id := st.Root(0); ; depth++ {
+		h, err := st.Get(id)
+		if err != nil {
+			f.Fatal(err)
+		}
+		child, ok := btree.ChildFor(h.Page(), key)
+		h.Release()
+		if !ok {
+			break
+		}
+		id = child
+	}
+	if depth < 3 {
+		f.Fatalf("seed tree has %d levels, want at least 3", depth)
+	}
+	return st.Root(0), key
 }

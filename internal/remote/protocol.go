@@ -38,6 +38,16 @@ const (
 	opGetPages    = 8 // count u32, count × pageID u64 → count × (version u64, image)
 	opCommitCheck = 9 // token u64 → state u8 (commit-uncertainty resolution; see checkUnknown)
 
+	// opGetPath serves a B-tree descent's miss in one round trip: the
+	// page asked for, then the pages below it on the path to the leaf
+	// that holds key (key is the rest of the body, at most
+	// btree.MaxKey bytes). The walk ends at a leaf, at a page that is
+	// not an interior B-tree page, at a page it cannot read, after
+	// maxPathPages pages, or at a child another shard owns. The first
+	// item is always the page asked for; its read errors fail the
+	// request exactly as opGetPage's do.
+	opGetPath = 13 // root u64, key → count u32, count × (pageID u64, version u64, image)
+
 	// Cluster opcodes. opPrepare carries the exact opCommit payload but
 	// stages it durably in the prepared state instead of applying it
 	// (the 2PC yes-vote); opDecide resolves a prepared token either
@@ -161,6 +171,15 @@ func appendFrameID(b []byte, id uint64) []byte {
 // version and one page image per id, plus the status byte — always
 // fits a frame. Clients chunk larger prefetches.
 const maxBatchPages = (maxFrame - 8) / (8 + page.Size)
+
+// maxPathPages bounds one opGetPath walk. The repository's trees are a
+// few levels deep; the bound stops a walk through a cyclic or otherwise
+// damaged tree.
+const maxPathPages = 8
+
+// pathItemLen is the size of one opGetPath answer item: page ID,
+// version, image.
+const pathItemLen = 16 + page.Size
 
 // writeFrame sends one length-prefixed frame.
 func writeFrame(w io.Writer, payload []byte) error {

@@ -419,3 +419,34 @@ func TestGetHitAllocs(t *testing.T) {
 		t.Fatalf("%d cache hits over 200 measured Gets", hits)
 	}
 }
+
+// TestClientFramesKeepNoSnapshot: every read of the client's cache
+// pins, so its pool copies no committed snapshot on insert.
+func TestClientFramesKeepNoSnapshot(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	id, h, err := c.Alloc(page.TypeSlotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.MarkDirty()
+	h.Release()
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = c.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	f := c.pool.Get(id)
+	if f == nil {
+		t.Fatal("fetched page not cached")
+	}
+	defer c.pool.Release(f)
+	if f.Snapshot() != nil {
+		t.Fatal("a client frame carries a committed snapshot")
+	}
+}

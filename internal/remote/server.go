@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hypermodel/internal/btree"
 	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/pager"
 	"hypermodel/internal/storage/store"
@@ -668,6 +669,8 @@ func (s *Server) dispatch(req []byte) (resp []byte, conflict bool, rerr error) {
 		resp, rerr = s.getPage(req[1:])
 	case opGetPages:
 		resp, rerr = s.getPages(req[1:])
+	case opGetPath:
+		resp, rerr = s.getPath(req[1:])
 	case opAlloc:
 		resp, rerr = s.alloc(req[1:])
 	case opRoots:
@@ -792,6 +795,57 @@ func (s *Server) getPages(body []byte) ([]byte, error) {
 		h.Release()
 		page.SealBytes(resp[off+8:]) // see getPage
 		off += 8 + page.Size
+	}
+	return resp, nil
+}
+
+// getPath walks the B-tree path for a key from the requested page
+// down, one fetchPage per page, and ships every page it pinned (see
+// opGetPath). Child pointers are cluster-wide IDs; the walk follows
+// only children this shard owns, and answers in local IDs.
+func (s *Server) getPath(body []byte) ([]byte, error) {
+	if len(body) < 8 || len(body)-8 > btree.MaxKey {
+		return nil, badReq("remote: bad GetPath request")
+	}
+	id := page.ID(binary.LittleEndian.Uint64(body))
+	key := body[8:]
+	if s.view == nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	var ids [maxPathPages]page.ID
+	var vers [maxPathPages]uint64
+	var hs [maxPathPages]store.Handle
+	n := 0
+	defer func() {
+		for _, h := range hs[:n] {
+			h.Release()
+		}
+	}()
+	for n < maxPathPages {
+		ver, h, err := s.fetchPage(id)
+		if err != nil {
+			if n == 0 {
+				return nil, err
+			}
+			break // the descent's own fetch of this page reports it
+		}
+		ids[n], vers[n], hs[n] = id, ver, h
+		n++
+		child, ok := btree.ChildFor(h.Page(), key)
+		if !ok || shardOfID(child) != s.shardID {
+			break
+		}
+		id = localIDOf(child)
+	}
+	resp := make([]byte, 4+n*pathItemLen)
+	binary.LittleEndian.PutUint32(resp, uint32(n))
+	for i := 0; i < n; i++ {
+		r := resp[4+i*pathItemLen:]
+		binary.LittleEndian.PutUint64(r, uint64(ids[i]))
+		binary.LittleEndian.PutUint64(r[8:], vers[i])
+		copy(r[16:pathItemLen], hs[i].Page().Bytes())
+		page.SealBytes(r[16:pathItemLen]) // see getPage
 	}
 	return resp, nil
 }

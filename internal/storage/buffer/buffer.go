@@ -25,10 +25,12 @@
 // Concurrency: the frame table is sharded so parallel readers do not
 // serialize behind one mutex (small pools collapse to a single shard to
 // keep exact global LRU order). Hit/miss/eviction counters and pin
-// counts are atomic. Each frame carries two page images: the working
-// image (Frame.Page), owned by the single writer, and an immutable
-// committed snapshot published with an atomic pointer, which concurrent
-// readers access without pinning the frame at all (see Snapshot).
+// counts are atomic. Each frame of a New pool carries two page images:
+// the working image (Frame.Page), owned by the single writer, and an
+// immutable committed snapshot published with an atomic pointer, which
+// concurrent readers access without pinning the frame at all (see
+// Snapshot). A NewPinOnly pool, for a cache read only through pins,
+// keeps no snapshots.
 package buffer
 
 import (
@@ -48,7 +50,7 @@ type Frame struct {
 	// before Release). Concurrent readers never touch it — they read
 	// the committed snapshot instead.
 	Page  *page.Page
-	snap  atomic.Pointer[page.Page] // committed copy; always distinct from Page
+	snap  atomic.Pointer[page.Page] // committed copy, distinct from Page; nil in a NewPinOnly pool
 	pins  atomic.Int32
 	dirty atomic.Bool
 	// prev and next link the frame into its shard's eviction ring;
@@ -92,7 +94,7 @@ func (f *Frame) Dirty() bool { return f.dirty.Load() }
 // Snapshot returns the frame's committed page image. The image is
 // immutable — commits publish a fresh copy rather than mutating it — so
 // the caller may read it without holding any pin or lock, even after
-// the frame is evicted.
+// the frame is evicted. It is nil for a frame of a NewPinOnly pool.
 func (f *Frame) Snapshot() *page.Page { return f.snap.Load() }
 
 // InstallSnapshot publishes a copy of the working image as the new
@@ -132,6 +134,7 @@ type Pool struct {
 	shards []shard
 	mask   uint64
 	cap    int
+	snaps  bool // inserts publish a committed snapshot
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -142,8 +145,18 @@ type Pool struct {
 // New returns a pool that aims to hold at most capacity pages.
 // Capacity must be at least 1. Pools smaller than 8 pages per shard use
 // a single shard, which preserves exact global LRU order for the tiny
-// pools the tests and cache-sweep experiments build.
-func New(capacity int) *Pool {
+// pools the tests and cache-sweep experiments build. Every inserted
+// page gets a committed snapshot (see Frame.Snapshot), which the
+// store's pin-free readers need.
+func New(capacity int) *Pool { return newPool(capacity, true) }
+
+// NewPinOnly returns a pool like New whose frames keep no committed
+// snapshot, saving a page copy per insert: for a cache that is read
+// only through pins, as the page-server client's is. Snapshot returns
+// nil for its frames.
+func NewPinOnly(capacity int) *Pool { return newPool(capacity, false) }
+
+func newPool(capacity int, snaps bool) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -151,7 +164,7 @@ func New(capacity int) *Pool {
 	if capacity < 8*shardCount {
 		n = 1
 	}
-	p := &Pool{shards: make([]shard, n), mask: uint64(n - 1), cap: capacity}
+	p := &Pool{shards: make([]shard, n), mask: uint64(n - 1), cap: capacity, snaps: snaps}
 	for i := range p.shards {
 		c := capacity / n
 		if i < capacity%n {
@@ -186,9 +199,10 @@ func (p *Pool) Get(id page.ID) *Frame {
 }
 
 // Snapshot returns the committed image of a resident page, or nil on a
-// miss. The image is immutable, so the frame is not pinned: the caller
-// may read the returned page for as long as it likes regardless of what
-// happens to the frame. This is the concurrent readers' fast path.
+// miss (and always in a NewPinOnly pool). The image is immutable, so
+// the frame is not pinned: the caller may read the returned page for as
+// long as it likes regardless of what happens to the frame. This is the
+// concurrent readers' fast path.
 func (p *Pool) Snapshot(id page.ID) *page.Page {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
@@ -239,8 +253,10 @@ func (p *Pool) insertLocked(sh *shard, id page.ID, img *page.Page) *Frame {
 	f := &Frame{ID: id, Page: img}
 	f.handle = Handle{p, f}
 	f.pins.Store(1)
-	cp := *img
-	f.snap.Store(&cp)
+	if p.snaps {
+		cp := *img
+		f.snap.Store(&cp)
+	}
 	sh.frames[id] = f
 	return f
 }
@@ -402,7 +418,7 @@ func (p *Pool) Drop() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		sh.frames = make(map[page.ID]*Frame, sh.cap)
+		clear(sh.frames) // in place: the next cold run refills the same buckets
 		// Listed frames keep stale links: they are unpinned and clean,
 		// so no pin holder or dirty list reaches them again, and
 		// resetting only the sentinel keeps Drop O(1).

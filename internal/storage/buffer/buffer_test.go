@@ -106,6 +106,30 @@ func TestDropMakesPoolCold(t *testing.T) {
 	}
 }
 
+// TestPinOnlyPoolKeepsNoSnapshot: a NewPinOnly pool serves pins like
+// any pool but publishes no committed snapshot.
+func TestPinOnlyPoolKeepsNoSnapshot(t *testing.T) {
+	p := NewPinOnly(4)
+	img := page.New(page.TypeSlotted)
+	img.Payload()[0] = 7
+	f := p.Insert(1, img)
+	if f.Snapshot() != nil {
+		t.Fatal("a pin-only frame published a snapshot")
+	}
+	p.Release(f)
+	if p.Snapshot(1) != nil {
+		t.Fatal("Pool.Snapshot answered on a pin-only pool")
+	}
+	f = p.Get(1)
+	if f == nil || f.Page.Payload()[0] != 7 {
+		t.Fatal("a pin-only pool lost the page")
+	}
+	p.Release(f)
+	if q := New(4); q.Insert(1, img).Snapshot() == nil {
+		t.Fatal("a New pool published no snapshot")
+	}
+}
+
 func TestForget(t *testing.T) {
 	p := New(8)
 	f := p.Insert(1, page.New(page.TypeSlotted))
