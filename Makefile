@@ -106,6 +106,8 @@ fuzz:
 	$(GO) test -fuzz FuzzClientDemux -fuzztime 10s ./internal/remote
 	$(GO) test -fuzz FuzzServerStream -fuzztime 10s ./internal/remote
 	$(GO) test -fuzz FuzzDecodeBitmap -fuzztime 10s ./internal/hyper
+	$(GO) test -fuzz FuzzDecodeNodeList -fuzztime 10s ./internal/hyper
+	$(GO) test -fuzz FuzzViewSorted -fuzztime 10s ./internal/btree
 	$(GO) test -fuzz FuzzDecodePolicy -fuzztime 10s ./internal/acl
 
 examples:

@@ -1,7 +1,6 @@
 // Command hyperlint machine-checks the repo's correctness invariants
-// with the ten analyzers in internal/analysis (detrand, erris, facade,
-// framerelease, lifecycle, lockorder, mutexio, opcodes, vfsonly,
-// wiresym).
+// with the seven analyzers in internal/analysis (detrand, erris,
+// facade, lifecycle, lockorder, vfsonly, wiresym).
 //
 // It runs two ways:
 //

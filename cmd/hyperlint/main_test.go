@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hypermodel/internal/analysis/registry"
 )
 
 // toolPath holds the hyperlint binary built once for the whole test
@@ -183,9 +185,13 @@ func TestFlagsProbe(t *testing.T) {
 	for _, f := range flags {
 		names[f.Name] = true
 	}
-	for _, want := range []string{"json", "detrand", "erris", "framerelease", "mutexio", "opcodes"} {
-		if !names[want] {
-			t.Errorf("-flags output missing %q: %s", want, stdout)
+	want := []string{"json"}
+	for _, a := range registry.All() {
+		want = append(want, a.Name)
+	}
+	for _, name := range want {
+		if !names[name] {
+			t.Errorf("-flags output missing %q: %s", name, stdout)
 		}
 	}
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLifecycle(t *testing.T) {
-	analysistest.Run(t, lifecycle.Analyzer, "lifecycle")
+	analysistest.Run(t, lifecycle.Analyzer, "lifecycle", "hypermodel/internal/storage/store")
 }

@@ -1,7 +1,11 @@
 // Stub of the real store package for the lifecycle fixtures.
 package store
 
-import "errors"
+import (
+	"errors"
+
+	"hypermodel/internal/storage/buffer"
+)
 
 var ErrSnapshotTooOld = errors.New("snapshot too old")
 
@@ -18,3 +22,19 @@ func (v *SnapshotView) Close() error                  { return nil }
 type ReadView struct{}
 
 func (v *ReadView) Close() error { return nil }
+
+// The store is checked for the frames it pins, but not for the
+// snapshots it produces.
+
+func (s *Store) leakFrame(p *buffer.Pool) uint64 {
+	f := p.Get(1) // want `frame pinned here is not released via Pool.Release on every path to return`
+	return f.ID
+}
+
+func (s *Store) keepSnapshot() {
+	v, err := s.Snapshot()
+	if err != nil {
+		return
+	}
+	v.Get(1)
+}

@@ -15,11 +15,12 @@
 //  3. In the remote tier only, no lock may be held across a blocking
 //     operation: channel sends and receives, selects without a
 //     default, time.Sleep, net.Conn Read/Write-family calls, or any
-//     call whose summary (transitively) blocks. This upgrades the
-//     lexical mutexio analyzer: mutexio catches conn I/O written
-//     directly inside a Lock/Unlock window, lockorder follows the
-//     held set through helpers like Client.Commit → doOnce →
+//     call whose summary (transitively) blocks. The held set is
+//     followed through helpers like Client.Commit → doOnce →
 //     muxConn.do, where the blocking select is three frames down.
+//     Read locks count: a reader parked on the network under an RLock
+//     (or rw.RLocker().Lock()) stalls the next writer, and with a
+//     writer queued, every later reader.
 //
 // Lock identity is canonical by type, not by expression: c.mu on a
 // *Client receiver and cl.mu on another *Client variable are the same
@@ -633,10 +634,10 @@ const (
 )
 
 // mutexOp recognizes Lock/RLock/TryLock/Unlock/RUnlock calls on
-// sync.Mutex / sync.RWMutex values and returns the canonical lock
-// name. TryLock counts as an acquisition (may-analysis). Read-side
-// operations get a distinct " (read)" key so mismatched pairs never
-// cancel.
+// sync.Mutex / sync.RWMutex values, and Lock/Unlock on rw.RLocker() as
+// RLock/RUnlock, and returns the canonical lock name. TryLock counts
+// as an acquisition (may-analysis). Read-side operations get a
+// distinct " (read)" key so mismatched pairs never cancel.
 func (a *analyzer) mutexOp(fi *analysis.FuncInfo, e ast.Expr) (key string, op lockOp, ok bool) {
 	call, isCall := ast.Unparen(e).(*ast.CallExpr)
 	if !isCall {
@@ -659,18 +660,45 @@ func (a *analyzer) mutexOp(fi *analysis.FuncInfo, e ast.Expr) (key string, op lo
 	default:
 		return "", 0, false
 	}
-	tv, okT := a.pass.TypesInfo.Types[sel.X]
-	if !okT || tv.Type == nil || !isSyncMutex(tv.Type) {
-		return "", 0, false
+	recv := sel.X
+	// rw.RLocker().Lock() takes the read half of rw: unwrap to the
+	// RWMutex so its key matches direct RLock/RUnlock calls.
+	if inner, isLocker := a.rlockerRecv(recv); isLocker {
+		if read {
+			return "", 0, false // a sync.Locker has no RLock/RUnlock
+		}
+		recv, read = inner, true
+	} else {
+		tv, okT := a.pass.TypesInfo.Types[recv]
+		if !okT || tv.Type == nil || !isSyncMutex(tv.Type) {
+			return "", 0, false
+		}
+		if read && !isSyncRWMutex(tv.Type) {
+			return "", 0, false
+		}
 	}
-	if read && !isSyncRWMutex(tv.Type) {
-		return "", 0, false
-	}
-	key = a.lockName(fi, sel.X)
+	key = a.lockName(fi, recv)
 	if read {
 		key += " (read)"
 	}
 	return key, op, true
+}
+
+// rlockerRecv returns rw when e is rw.RLocker() on a sync.RWMutex.
+func (a *analyzer) rlockerRecv(e ast.Expr) (ast.Expr, bool) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil, false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "RLocker" {
+		return nil, false
+	}
+	tv, ok := a.pass.TypesInfo.Types[sel.X]
+	if !ok || tv.Type == nil || !isSyncRWMutex(tv.Type) {
+		return nil, false
+	}
+	return sel.X, true
 }
 
 // lockName renders a canonical, instance-independent lock identity.

@@ -12,6 +12,7 @@ import (
 
 type server struct {
 	mu   sync.Mutex
+	rw   sync.RWMutex
 	ch   chan int
 	done chan struct{}
 	conn net.Conn
@@ -52,7 +53,20 @@ func (s *server) badConnWrite(b []byte) {
 	s.mu.Unlock()
 }
 
-// --- blocking reached through helpers (the mutexio blind spot) ---
+func (s *server) badRLocker(b []byte) {
+	s.rw.RLocker().Lock()
+	s.conn.Write(b) // want `\(net.Conn\).Write while holding server.rw \(read\)`
+	s.rw.RLocker().Unlock()
+}
+
+// goodRLockerReleased: RLocker().Unlock() ends the RLock window.
+func (s *server) goodRLockerReleased(b []byte) {
+	s.rw.RLock()
+	s.rw.RLocker().Unlock()
+	s.conn.Write(b)
+}
+
+// --- blocking reached through helpers ---
 
 func (s *server) wait() {
 	<-s.done

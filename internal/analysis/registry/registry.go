@@ -8,30 +8,20 @@ import (
 	"hypermodel/internal/analysis/detrand"
 	"hypermodel/internal/analysis/erris"
 	"hypermodel/internal/analysis/facade"
-	"hypermodel/internal/analysis/framerelease"
 	"hypermodel/internal/analysis/lifecycle"
 	"hypermodel/internal/analysis/lockorder"
-	"hypermodel/internal/analysis/mutexio"
-	"hypermodel/internal/analysis/opcodes"
 	"hypermodel/internal/analysis/vfsonly"
 	"hypermodel/internal/analysis/wiresym"
 )
 
-// All returns every analyzer in the suite, in stable order. The
-// lexical checks (mutexio, framerelease, opcodes) coexist with their
-// interprocedural upgrades (lockorder, lifecycle, wiresym): the
-// lexical rules are stricter where they apply and their diagnostics
-// are cheaper to localize.
+// All returns every analyzer in the suite, in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detrand.Analyzer,
 		erris.Analyzer,
 		facade.Analyzer,
-		framerelease.Analyzer,
 		lifecycle.Analyzer,
 		lockorder.Analyzer,
-		mutexio.Analyzer,
-		opcodes.Analyzer,
 		vfsonly.Analyzer,
 		wiresym.Analyzer,
 	}

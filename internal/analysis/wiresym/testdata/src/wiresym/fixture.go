@@ -1,7 +1,8 @@
 // Fixture for the wiresym analyzer: per-opcode request scripts
 // recovered from encoders (opcode anchors plus appends) and from the
 // dispatch switch's handlers (reads, cursor closures, inlined decode
-// helpers), then compared.
+// helpers), then compared; per-opcode encoder and dispatch counts; and
+// the framing helpers' call-site pin.
 package wiresym
 
 import "encoding/binary"
@@ -20,6 +21,8 @@ const (
 	opStore  = 11 // matched: u64, shares its decoder with opStage
 	opStage  = 12 // matched: u64, same handler as opStore
 	opFlag   = 13 // matched: u64 token + u8 flag from a byte variable
+	opTwice  = 14 // two encoders
+	opDouble = 15 // two dispatch cases
 )
 
 const (
@@ -106,6 +109,18 @@ func encodeFlag(tok uint64, commit bool) []byte {
 	return b
 }
 
+func encodeTwice() []byte {
+	return []byte{opTwice} // want `opTwice has 2 encoders, want exactly 1`
+}
+
+func encodeTwiceAgain() []byte {
+	return []byte{opTwice} // want `opTwice has 2 encoders, want exactly 1`
+}
+
+func encodeDouble() []byte {
+	return []byte{opDouble}
+}
+
 // --- dispatch ---
 
 func serve(req []byte) []byte {
@@ -133,6 +148,20 @@ func serve(req []byte) []byte {
 		return handleStore(req[1:])
 	case opFlag:
 		return handleFlag(req[1:])
+	case opTwice:
+		return nil
+	case opDouble: // want `opDouble has 2 dispatch cases, want exactly 1`
+		return nil
+	}
+	return nil
+}
+
+// serveAgain is a second dispatch switch: its opDouble case is a
+// duplicate route for one request.
+func serveAgain(req []byte) []byte {
+	switch req[0] {
+	case opDouble: // want `opDouble has 2 dispatch cases, want exactly 1`
+		return nil
 	}
 	return nil
 }
@@ -240,4 +269,31 @@ func buildResponse(ver uint64, img []byte) []byte {
 	resp := make([]byte, 8)
 	binary.LittleEndian.PutUint64(resp, ver)
 	return append(resp, img...)
+}
+
+// --- framing helpers ---
+
+type Server struct{}
+
+// frameID is well pinned: one server call, one client call.
+func frameID(frame []byte) uint64 {
+	return binary.LittleEndian.Uint64(frame)
+}
+
+// appendFrameID has drifted: two client calls, no server call.
+func appendFrameID(b []byte, id uint64) []byte { // want `framing helper appendFrameID has 0 server call sites, want exactly 1` `framing helper appendFrameID has 2 client call sites, want exactly 1`
+	return binary.LittleEndian.AppendUint64(b, id)
+}
+
+func (s *Server) readHeader(frame []byte) uint64 {
+	return frameID(frame)
+}
+
+func clientDemux(frame []byte) uint64 {
+	return frameID(frame)
+}
+
+func clientFrame(b []byte) []byte {
+	b = appendFrameID(b, 1)
+	return appendFrameID(b, 2)
 }

@@ -7,8 +7,8 @@
 // the dispatch switch routes the body to a handler that reads it back.
 // Nothing but convention keeps the two field sequences aligned; a
 // missing count prefix or a u32 read against a u64 write silently
-// desynchronizes every later field. The opcodes analyzer pins the
-// *existence* of both sides; this analyzer pins their *shape*.
+// desynchronizes every later field. This analyzer pins both the
+// existence of each side and its shape.
 //
 // The analyzer recovers a field script — a sequence of u8/u16/u32/u64/
 // bytes tokens, with loop{...} groups for repeated records — from each
@@ -34,12 +34,23 @@
 // expression, the latter's cases are not opcode constants.
 //
 // Reported, per opcode: a script mismatch (at the encoder), an encoder
-// with no dispatch case, a dispatch case with no encoder, and a dead
+// with no dispatch case, a dispatch case with no encoder, a dead
 // opcode with neither (reserved wire numbers carry an explicit
-// "//hyperlint:allow wiresym" directive). Any use of binary.BigEndian
+// "//hyperlint:allow wiresym" directive), and more than one encoder or
+// more than one dispatch case (a copy-paste dispatch error, or two
+// builders that can drift apart). Any use of binary.BigEndian
 // in a wire package is also flagged — the protocol is little-endian,
 // and one big-endian read is exactly the kind of asymmetry the script
 // comparison exists to catch.
+//
+// The multiplexed framing has the same drift hazard one level down:
+// every frame opens with a request ID that the client writes and the
+// server reads, and the server writes and the client reads back. The
+// framing helpers frameID and appendFrameID are therefore pinned to
+// exactly one call inside a *Server method and one outside (the
+// client's demux core), so a stray hand-rolled header, or a second
+// decode path that could disagree about byte order, fails the same way
+// a duplicated dispatch case does.
 //
 // The analyzer activates only for packages that look like a wire codec:
 // op-prefixed package-level integer constants, at least one encoder
@@ -49,6 +60,7 @@
 package wiresym
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -234,6 +246,16 @@ func run(pass *analysis.Pass) error {
 	sort.Slice(order, func(i, j int) bool { return order[i].Name() < order[j].Name() })
 	for _, op := range order {
 		oe, od := encByOp[op], decByOp[op]
+		if len(oe) > 1 {
+			for _, e := range oe {
+				add(e.pos, fmt.Sprintf("%s has %d encoders, want exactly 1", op.Name(), len(oe)))
+			}
+		}
+		if len(od) > 1 {
+			for _, d := range od {
+				add(d.pos, fmt.Sprintf("%s has %d dispatch cases, want exactly 1", op.Name(), len(od)))
+			}
+		}
 		switch {
 		case len(oe) == 0 && len(od) == 0:
 			add(a.ops[op], "opcode "+op.Name()+" is neither encoded nor dispatched: dead wire surface")
@@ -256,11 +278,44 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].pos < reports[j].pos })
+	for _, fd := range a.decls {
+		if fd.Recv != nil || (fd.Name.Name != "frameID" && fd.Name.Name != "appendFrameID") {
+			continue
+		}
+		server, client := a.callSites(fd)
+		if server != 1 {
+			add(fd.Name.Pos(), fmt.Sprintf("framing helper %s has %d server call sites, want exactly 1", fd.Name.Name, server))
+		}
+		if client != 1 {
+			add(fd.Name.Pos(), fmt.Sprintf("framing helper %s has %d client call sites, want exactly 1", fd.Name.Name, client))
+		}
+	}
+	sort.SliceStable(reports, func(i, j int) bool { return reports[i].pos < reports[j].pos })
 	for _, r := range reports {
 		pass.Reportf(r.pos, "%s", r.msg)
 	}
 	return nil
+}
+
+// callSites counts the references to helper from *Server methods and
+// from everywhere else.
+func (a *analyzer) callSites(helper *ast.FuncDecl) (server, client int) {
+	obj := a.pass.TypesInfo.Defs[helper.Name]
+	for fn, fd := range a.decls {
+		recv := analysis.ReceiverNamed(fn)
+		inServer := recv != nil && recv.Obj().Name() == "Server"
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && a.pass.TypesInfo.Uses[id] == obj {
+				if inServer {
+					server++
+				} else {
+					client++
+				}
+			}
+			return true
+		})
+	}
+	return server, client
 }
 
 // opConsts collects the package-level op[A-Z]* integer constants — the

@@ -609,36 +609,21 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // callback returns false to stop early. The key and value slices passed
 // to fn alias page memory and must not be retained.
 func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) (bool, error)) error {
-	id := t.startRoot()
-	// Descend to the leaf that would contain from.
-	for {
-		h, err := t.sp.Get(id)
-		if err != nil {
-			return err
-		}
-		n := node{h.Page().Payload()}
-		if n.leaf() {
-			h.Release()
-			break
-		}
-		var next page.ID
-		if from == nil {
-			next = n.leftmost()
-		} else {
-			next = n.childFor(from)
-		}
-		h.Release()
-		id = next
+	// leafFor(nil) descends the leftmost spine: childFor(nil) is the
+	// leftmost child, as no separator is the empty key.
+	h, _, err := t.leafFor(from)
+	if err != nil {
+		return err
 	}
-	for id != page.Invalid {
-		h, err := t.sp.Get(id)
-		if err != nil {
-			return err
-		}
+	for {
+		// Taken from the page, not from leafFor, n has the payload's
+		// constant length, which spares the cell reads their bounds
+		// checks.
 		n := node{h.Page().Payload()}
 		start := 0
 		if from != nil {
 			start, _ = n.search(from)
+			from = nil
 		}
 		for i := start; i < n.nkeys(); i++ {
 			k, v := n.leafCell(i)
@@ -652,12 +637,15 @@ func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) (bool, error)) err
 				return err
 			}
 		}
-		from = nil
 		next := n.next()
 		h.Release()
-		id = next
+		if next == page.Invalid {
+			return nil
+		}
+		if h, err = t.sp.Get(next); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // Count returns the number of entries (a full scan; used by tests and

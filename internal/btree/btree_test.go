@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"hypermodel/internal/storage/page"
 	"hypermodel/internal/storage/store"
 )
 
@@ -127,6 +128,64 @@ func TestScanEarlyStop(t *testing.T) {
 	})
 	if err != nil || n != 7 {
 		t.Fatalf("early stop visited %d (%v)", n, err)
+	}
+}
+
+// TestScanDescendsOnce: a Scan descends once, through GetPath over a
+// path-capable space, and walks on from the leaf its descent ends at.
+// So a full Scan pins height − 1 + leaves pages, and a Scan within one
+// leaf pins one descent's.
+func TestScanDescendsOnce(t *testing.T) {
+	tr, st := openTree(t)
+	val := make([]byte, 200)
+	for i := 0; i < 5000; i++ {
+		if err := tr.Put(U64Key(uint64(i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp := &pathSpace{Store: st}
+	ptr, err := Open(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ptr.View(U64Key(0), func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	height := len(sp.paths)
+	// Count the leaves along the sibling chain, uncounted.
+	h, n, err := tr.leafFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 1
+	for next := n.next(); next != page.Invalid; leaves++ {
+		h.Release()
+		if h, err = st.Get(next); err != nil {
+			t.Fatal(err)
+		}
+		next = node{h.Page().Payload()}.next()
+	}
+	h.Release()
+	if height < 3 {
+		t.Fatalf("tree is %d high, want at least 3", height)
+	}
+
+	sp.gets, sp.paths = 0, nil
+	visited := 0
+	if err := ptr.Scan(nil, nil, func(_, _ []byte) (bool, error) { visited++; return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if visited != 5000 || len(sp.paths) != height || sp.gets != leaves-1 {
+		t.Fatalf("full Scan visited %d keys with %d GetPaths and %d Gets, want 5000 with %d and %d (height %d, %d leaves)",
+			visited, len(sp.paths), sp.gets, height, leaves-1, height, leaves)
+	}
+
+	sp.gets, sp.paths = 0, nil
+	if err := ptr.Scan(U64Key(2500), U64Key(2501), func(_, _ []byte) (bool, error) { return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.paths) != height || sp.gets != 0 {
+		t.Fatalf("one-key Scan made %d GetPaths and %d Gets, want %d and 0 (one descent)", len(sp.paths), sp.gets, height)
 	}
 }
 

@@ -206,30 +206,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Listener wraps every accepted connection with a shared injector.
-type Listener struct {
-	net.Listener
-	inj *Injector
-}
-
-// WrapListener returns a listener whose accepted connections share one
-// fault schedule drawn from cfg.
-func WrapListener(ln net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: ln, inj: NewInjector(cfg)}
-}
-
-// Stats snapshots the shared injector's counters.
-func (l *Listener) Stats() Stats { return l.inj.Stats() }
-
-// Accept wraps the next connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(conn, l.inj), nil
-}
-
 // LimitConn writes at most limit bytes to the underlying connection
 // and then closes it — the deterministic mid-frame close used by the
 // table-driven truncation tests, which cut a response at every byte

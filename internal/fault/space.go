@@ -20,21 +20,12 @@ type Space struct {
 	errEvery   int
 	panicEvery int
 	ops        int
-	injected   uint64
-	panics     uint64
 }
 
 // NewSpace wraps inner; errEvery and panicEvery schedule the faults
 // (0 disables).
 func NewSpace(inner store.Space, errEvery, panicEvery int) *Space {
 	return &Space{Inner: inner, errEvery: errEvery, panicEvery: panicEvery}
-}
-
-// Injected reports how many errors and panics were delivered.
-func (s *Space) Injected() (errs, panics uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.injected, s.panics
 }
 
 // step advances the operation counter and delivers a scheduled fault.
@@ -44,12 +35,6 @@ func (s *Space) step(op string) error {
 	ops := s.ops
 	doPanic := s.panicEvery > 0 && ops%s.panicEvery == 0
 	doErr := !doPanic && s.errEvery > 0 && ops%s.errEvery == 0
-	if doPanic {
-		s.panics++
-	}
-	if doErr {
-		s.injected++
-	}
 	s.mu.Unlock()
 	if doPanic {
 		panic(fmt.Sprintf("fault: injected panic in %s (op %d)", op, ops))

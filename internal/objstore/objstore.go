@@ -137,10 +137,6 @@ func Open(sp store.Space, tableRootSlot, metaRootSlot int, opts Options) (*Store
 	return s, nil
 }
 
-// SetClustering toggles the near-hint at runtime (used by the E11
-// ablation harness before loading).
-func (s *Store) SetClustering(on bool) { s.clustering = on }
-
 func (s *Store) meta() (store.Handle, []byte, error) {
 	h, err := s.sp.Get(s.metaPage)
 	if err != nil {

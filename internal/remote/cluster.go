@@ -80,9 +80,6 @@ func localIDOf(id page.ID) page.ID { return page.ID(uint64(id) & (1<<shardShift 
 // shard's pages directly.
 func ClusterPageID(shard int, local page.ID) page.ID { return globalID(shard, local) }
 
-// ShardOfPage reports which shard a cluster-wide page ID routes to.
-func ShardOfPage(id page.ID) int { return shardOfID(id) }
-
 // RouteTable maps the cluster: Shards[i] is the address of shard i,
 // and Epoch versions the mapping — a client adopts a table only when
 // its epoch is strictly newer than the one it holds.

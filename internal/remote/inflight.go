@@ -53,10 +53,9 @@ type InflightStats struct {
 	Ops []OpLatency
 }
 
-// opName renders an opcode for stats output. A switch over the
-// constants in a non-Server function routes behavior, not frames, so
-// the opcodes analyzer counts these uses as neither dispatch nor
-// encoding sites.
+// opName renders an opcode for stats output. Its switch tag is an
+// extracted byte, not a frame index, so the wiresym analyzer does not
+// take it for a dispatch switch.
 func opName(op byte) string {
 	switch op {
 	case opGetPage:

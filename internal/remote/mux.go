@@ -189,7 +189,7 @@ func (m *muxConn) forget(id uint64) {
 // do runs one request round trip: assign an ID, register the response
 // channel, enqueue the frame, wait. payload is opcode + body; the wire
 // frame (length prefix, then ID, then payload) is assembled here — the
-// client's single appendFrameID site, pinned by the opcodes analyzer.
+// client's single appendFrameID site, pinned by the wiresym analyzer.
 //
 // A request that exceeds timeout kills the connection: the protocol
 // has no cancel message, and a transport that cannot deliver an answer

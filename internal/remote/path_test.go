@@ -261,6 +261,89 @@ func TestColdLookupRoundTrips(t *testing.T) {
 	}
 }
 
+// checkColdRanges pins the round trips of a cold O3 and O4. Each is a
+// covering scan of one attribute index: its descent arrives in one
+// frame, and each further leaf of the range in one more. The pages
+// fetched are exactly the page-at-a-time scan's.
+func checkColdRanges(t *testing.T, db *oodb.DB) {
+	t.Helper()
+	sp := db.Store()
+	ops := []struct {
+		name string
+		run  func() ([]hyper.NodeID, error)
+	}{
+		{"O3(0)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupHundred(db, 0) }},
+		{"O3(45)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupHundred(db, 45) }},
+		{"O3(90)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupHundred(db, 90) }},
+		{"O4(0)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupMillion(db, 0) }},
+		{"O4(495000)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupMillion(db, 495000) }},
+		{"O4(990000)", func() ([]hyper.NodeID, error) { return hyper.RangeLookupMillion(db, 990000) }},
+	}
+	for _, op := range ops {
+		want, err := op.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []hyper.NodeID
+		run := func() (err error) { got, err = op.run(); return err }
+		frames, pages := measureCold(t, db, run)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s cold = %v, want %v", op.name, got, want)
+		}
+		s := shapeOf(t, sp)
+		if s.trees != 1 || s.other != 0 || s.heights[0] < 2 {
+			t.Fatalf("%s entered %d trees (heights %v) and read %d other pages, want one index of height 2 or more only",
+				op.name, s.trees, s.heights, s.other)
+		}
+		further := s.treePages - s.heights[0]
+		if want := uint64(1 + further); frames != want {
+			t.Errorf("%s: %d frames, want %d (one for the descent, one per further leaf)", op.name, frames, want)
+		}
+		if pages != uint64(s.treePages) {
+			t.Errorf("%s: %d pages fetched, %d tree pages resident", op.name, pages, s.treePages)
+		}
+		setPaths(sp, false)
+		plainFrames, plainPages := measureCold(t, db, run)
+		setPaths(sp, true)
+		if plainFrames != pages || plainPages != pages {
+			t.Errorf("%s page at a time: %d frames, %d pages; want %d and %d", op.name, plainFrames, plainPages, pages, pages)
+		}
+		t.Logf("%s: %d frames, page at a time %d; %d pages (height %d)", op.name, frames, plainFrames, pages, s.heights[0])
+	}
+}
+
+// TestColdRangeRoundTrips: a cold O3 or O4 waits on one frame for its
+// index descent, not one per level, on levels 4 and 5, over a
+// standalone client and over a one-shard cluster.
+func TestColdRangeRoundTrips(t *testing.T) {
+	for _, level := range []int{4, 5} {
+		t.Run(fmt.Sprintf("L%d", level), func(t *testing.T) {
+			addr, _ := serveGenerated(t, level)
+			c, err := Dial(addr, ClientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := oodb.New(c, oodb.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			checkColdRanges(t, db)
+
+			cc, err := DialClusterTable(RouteTable{Epoch: 1, Shards: []string{addr}}, ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cdb, err := oodb.New(cc, oodb.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cdb.Close()
+			checkColdRanges(t, cdb)
+		})
+	}
+}
+
 // TestPathStopsAtShardBoundary generates a database over a two-shard
 // cluster, where allocation rotates between shards every allocChunk
 // pages, so B-trees have children on both shards. A shard's path walk

@@ -26,13 +26,13 @@ import (
 	"hypermodel/internal/storage/pager"
 )
 
-// Protocol opcodes (client → server).
+// Protocol opcodes (client → server). Wire number 5 is retired (an
+// unwired fault hook); never reuse it.
 const (
 	opGetPage     = 1 // pageID u64 → version u64, image
 	opAlloc       = 2 // pageType u8 → pageID u64
 	opRoots       = 3 // → roots version u64, commit seq u64, NumRoots × u64
 	opCommit      = 4 // token u64, snapshot u64, read set, write set, root updates, frees → ok (commit seq u64)/conflict
-	opDropDead    = 5 //hyperlint:allow opcodes,wiresym -- reserved fault-injection hook, intentionally unwired
 	opStats       = 6 // → server stats
 	opPing        = 7 // → ok
 	opGetPages    = 8 // count u32, count × pageID u64 → count × (version u64, image)
@@ -160,7 +160,7 @@ func frameID(frame []byte) uint64 {
 }
 
 // appendFrameID appends the request ID that opens every multiplexed
-// frame. The opcodes analyzer holds this (and frameID) to exactly one
+// frame. The wiresym analyzer holds this (and frameID) to exactly one
 // server-side and one client-side call, so the two ends of the framing
 // cannot drift apart.
 func appendFrameID(b []byte, id uint64) []byte {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -149,12 +148,9 @@ type Server struct {
 	refused     atomic.Uint64
 	corrupt     atomic.Uint64 // requests answered with statusCorrupt
 
-	// Request-level accounting, independent of the connection
-	// counters: one multiplexed connection can carry many concurrent
-	// requests, so requests and connections are counted separately.
-	reqsTotal    atomic.Uint64
+	// reqsInflight counts requests dispatched and not yet answered,
+	// across all connections; Shutdown drains it.
 	reqsInflight atomic.Int64
-	reqsPeak     atomic.Int64
 
 	logf func(format string, args ...any)
 }
@@ -388,10 +384,6 @@ func (s *Server) GroupCommitStats() (flushes, batches, grouped, maxBatch, fastPa
 	return s.gcFlushes.Load(), s.gcBatches.Load(), s.gcGrouped.Load(), s.gcMax.Load(), s.fastOK.Load()
 }
 
-// CommitSeq reports the number of transactions applied since startup —
-// the logical clock clients pin their snapshots to.
-func (s *Server) CommitSeq() uint64 { return s.commitSeq.Load() }
-
 // Serve starts accepting connections on ln and returns immediately.
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
@@ -512,23 +504,6 @@ func (s *Server) FaultStats() (dupCommits, refused uint64) {
 // validation, worth an operator's scrub.
 func (s *Server) CorruptServed() uint64 { return s.corrupt.Load() }
 
-// RequestStats reports request-level counters: total request frames
-// read and the peak number dispatched concurrently across all
-// connections. These move independently of the connection counters —
-// one multiplexed connection can put hundreds of requests in flight —
-// which is why SetMaxConns refusal and FaultStats stay keyed to
-// connections while the load picture lives here.
-func (s *Server) RequestStats() (total, peakInflight uint64) {
-	return s.reqsTotal.Load(), uint64(s.reqsPeak.Load())
-}
-
-// ConnCount reports how many client connections are currently open.
-func (s *Server) ConnCount() int {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return len(s.conns)
-}
-
 // badRequestError marks a failure the client caused (malformed frame,
 // unknown opcode) as opposed to a server-side fault. The distinction
 // drives both the response status and the logging: a bad request is
@@ -588,7 +563,6 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			break // client went away (or idled out)
 		}
-		s.reqsTotal.Add(1)
 		if len(req) < muxHeaderLen {
 			// No request ID to echo: answer on the connection-level ID.
 			respCh <- s.respFrame(connReqID, statusBadRequest, []byte("remote: frame too short for a request ID"))
@@ -603,13 +577,7 @@ func (s *Server) handle(conn net.Conn) {
 			// rather than refusing the request.
 			s.globalSem <- struct{}{}
 		}
-		in := s.reqsInflight.Add(1)
-		for {
-			p := s.reqsPeak.Load()
-			if in <= p || s.reqsPeak.CompareAndSwap(p, in) {
-				break
-			}
-		}
+		s.reqsInflight.Add(1)
 		reqWG.Add(1)
 		go func(req []byte) {
 			defer reqWG.Done()
@@ -641,7 +609,7 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // respFrame assembles one response frame: request ID, status byte,
-// payload. The server's single appendFrameID site — the opcodes
+// payload. The server's single appendFrameID site — the wiresym
 // analyzer pins the framing encoder here so it cannot drift from the
 // client's decoder.
 func (s *Server) respFrame(id uint64, status byte, payload []byte) []byte {
@@ -1570,27 +1538,4 @@ func (s *Server) statsResp() ([]byte, error) {
 	binary.LittleEndian.PutUint64(resp[8:], s.aborts.Load())
 	binary.LittleEndian.PutUint64(resp[16:], s.fetches.Load())
 	return resp, nil
-}
-
-// ListenAndServeStore is a convenience for cmd/hyperserver: open the
-// store at path, serve on addr, and block until the listener fails.
-func ListenAndServeStore(path, addr string, opts *store.Options, idleTimeout time.Duration, maxConns, maxInflight int) error {
-	st, err := store.Open(path, opts)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	srv := NewServer(st)
-	srv.SetLogf(log.Printf)
-	srv.SetIdleTimeout(idleTimeout)
-	srv.SetMaxConns(maxConns)
-	srv.SetMaxInflight(maxInflight)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("hyperserver: serving %s on %s", path, ln.Addr())
-	srv.Serve(ln)
-	srv.wg.Wait()
-	return nil
 }
