@@ -29,10 +29,12 @@ chaos:
 
 # Multi-writer gate for group commit: W concurrent writer clients on
 # disjoint and contended pages (exactly-once rotation ground truth),
-# the serialized baseline, the group-commit crash-point sweeps, and
-# the 4-writer chaos soak — all under the race detector.
+# the serialized baseline, the group-commit crash-point sweeps, the
+# 4-writer chaos soak, and the server's leader hand-off and bounded
+# wait on a store whose flushes the tests hold open — all under the
+# race detector.
 writers:
-	$(GO) test -race -run 'Writers|GroupCommitCrash' -count=1 -v . ./internal/storage/store
+	$(GO) test -race -run 'Writers|GroupCommitCrash' -count=1 -v . ./internal/storage/store ./internal/remote
 
 # Power-cut and corruption gate (DESIGN.md §13): the deterministic
 # crash-point sweeps over every fsync barrier and mid-write tear

@@ -840,7 +840,7 @@ func drawIDs(n int, draw func() hypermodel.NodeID) []hypermodel.NodeID {
 // BenchmarkCommit measures ns/commit through the page server's commit
 // path as the number of concurrent committers grows. batch=1 is the
 // floor — every commit pays its own fsync; at batch=4 and batch=16 the
-// group-commit leader absorbs the queue and amortises the fsync, so
+// group-commit leaders batch the queue and amortise the fsync, so
 // ns/commit should fall while commits/fsync rises toward the batch
 // size. Each committer rotates its own TextNode (disjoint pages), so
 // the benchmark isolates commit-path cost from validation conflicts.

@@ -1102,9 +1102,10 @@ func latBucket(d time.Duration) int {
 // workload is commit-rate bound, not conflict bound, and what it
 // measures is the cost of durability per transaction. Serialized mode
 // admits one commit at a
-// time (each pays its own WAL flush); grouped mode lets the leader
-// absorb the queue, validate against the in-batch overlay, and retire
-// the whole batch with one combined WAL record and one fsync.
+// time (each pays its own WAL flush); grouped mode lets each leader
+// take the queued batch, validate against the in-batch overlay, retire
+// the whole batch with one combined WAL record and one fsync, and hand
+// leadership on.
 func RunWriters(dir string, level int, seed int64, writerCounts []int, window time.Duration) ([]WritersResult, error) {
 	if window <= 0 {
 		window = time.Second

@@ -22,10 +22,14 @@ import (
 // fetches are served from the store's committed ReadView (when the
 // space offers one), so N connections fetch in parallel with each
 // other and with an in-flight commit; and concurrent commit requests
-// are group-committed — a leader absorbs the queue, validates each
-// transaction's read set against the newest versions, and flushes the
-// whole batch under a single WAL fsync, so commit throughput scales
-// with writer concurrency instead of serializing on the sync. A space
+// are group-committed — a leader takes the queued batch, validates each
+// transaction's read set against the newest versions, flushes the
+// whole batch under a single WAL fsync, and hands leadership to a
+// commit that queued during the flush. A leader that expects more
+// committers than have queued (as many as the last flush saw) waits
+// for them, at most as long as that flush took, so commit throughput
+// scales with writer concurrency instead of serializing on the sync,
+// even with two writers that each keep one commit in flight. A space
 // that offers no read view (a fault-injection wrapper, say) degrades
 // to serialized fetches; SetGroupCommit(false) restores serialized
 // commits as a measurable baseline.
@@ -71,16 +75,19 @@ type Server struct {
 	// client's caches were known-current.
 	commitSeq atomic.Uint64
 
-	// Group-commit queue: concurrent commit requests enqueue here; the
-	// first becomes the leader and drains the queue batch by batch,
-	// validating and applying each transaction in arrival order and
-	// flushing the whole batch under one store commit (one WAL fsync).
-	// Guarded by gcMu. SetGroupCommit(false) restores the serialized
-	// one-fsync-per-commit baseline.
-	gcMu     sync.Mutex
-	gcQueue  []*commitJob
-	gcActive bool
-	noGroup  bool
+	// Group-commit queue (see commitGrouped and leadBatch). gcPeers is
+	// the last batch's size plus the jobs that queued during its flush,
+	// gcLastFlush that flush's duration: together they bound how long a
+	// leader waits for company. Guarded by gcMu. SetGroupCommit(false)
+	// restores the serialized one-fsync-per-commit baseline.
+	gcMu        sync.Mutex
+	gcQueue     []*commitJob
+	gcActive    bool // a leader holds the queue, or is being handed it
+	gcPeers     int
+	gcLastFlush time.Duration
+	gcWaiting   bool          // the leader is waiting; enqueuers signal gcWake
+	gcWake      chan struct{} // capacity 1
+	noGroup     bool
 
 	// Commit batching counters (see GroupCommitStats).
 	gcFlushes atomic.Uint64
@@ -88,23 +95,21 @@ type Server struct {
 	gcGrouped atomic.Uint64
 	gcMax     atomic.Uint64
 	fastOK    atomic.Uint64
+	gcWaits   atomic.Uint64 // leader waits for peers begun
 
 	// Commit-token dedup ring: the tokens of the most recent applied
 	// commits, so a commit resent after a lost acknowledgement is
 	// recognized and answered OK without being applied twice. Guarded
 	// by mu.
-	tokens     map[uint64]struct{}
-	tokenLog   []uint64 // insertion order; oldest evicted past tokenRingSize
+	applied    *store.TokenSet
 	dupCommits atomic.Uint64
 
 	// Two-phase commit state for cross-shard transactions. prepared
 	// holds the in-doubt entries (token → staged write set metadata);
-	// abortedT/abortedLog remember durable abort decisions so a
-	// participant polling for an outcome gets a definite answer.
-	// All guarded by mu.
-	prepared   map[uint64]*prepEntry
-	abortedT   map[uint64]struct{}
-	abortedLog []uint64
+	// aborted remembers durable abort decisions so a participant
+	// polling for an outcome gets a definite answer. All guarded by mu.
+	prepared map[uint64]*prepEntry
+	aborted  *store.TokenSet
 
 	// Shard identity and the routing table served by opRouteTable.
 	// shardID is this server's position in the table (set before
@@ -217,11 +222,14 @@ type commitJob struct {
 
 // commitResult is the outcome of one queued commit: the server commit
 // sequence after it applied (echoed to the client as its new
-// snapshot), a validation conflict, or a hard error.
+// snapshot), a validation conflict, or a hard error. A result with
+// lead set carries no outcome: it hands the receiving job leadership
+// of the group-commit queue.
 type commitResult struct {
 	seq      uint64
 	conflict bool
 	err      error
+	lead     bool
 }
 
 // tokenCommitter is the optional store capability a group-commit
@@ -243,9 +251,10 @@ func NewServer(st store.Space) *Server {
 		versions: make(map[page.ID]uint64),
 		conns:    make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
-		tokens:   make(map[uint64]struct{}),
+		gcWake:   make(chan struct{}, 1),
+		applied:  store.NewTokenSet(tokenRingSize),
 		prepared: make(map[uint64]*prepEntry),
-		abortedT: make(map[uint64]struct{}),
+		aborted:  store.NewTokenSet(abortRingSize),
 		logf:     func(string, ...any) {},
 	}
 	if v, ok := st.(interface{ ReadView() *store.ReadView }); ok {
@@ -262,10 +271,10 @@ func NewServer(st store.Space) *Server {
 		// so their footprints stay interlocked until the resolver (or
 		// the coordinator's client) decides them.
 		for _, tok := range rp.RecoveredTokens() {
-			s.recordTokenLocked(tok)
+			s.applied.Add(tok)
 		}
 		for _, tok := range rp.RecoveredAborts() {
-			s.recordAbortLocked(tok)
+			s.aborted.Add(tok)
 		}
 		for _, pt := range rp.PreparedTxns() {
 			e := &prepEntry{at: time.Now(), rootsTouched: len(pt.Roots) > 0}
@@ -864,24 +873,6 @@ func (s *Server) roots() ([]byte, error) {
 	return resp, nil
 }
 
-// tokenSeenLocked reports whether a commit token is in the applied
-// ring. Callers hold s.mu.
-func (s *Server) tokenSeenLocked(tok uint64) bool {
-	_, ok := s.tokens[tok]
-	return ok
-}
-
-// recordTokenLocked remembers an applied commit token, evicting the
-// oldest past the ring size. Callers hold s.mu.
-func (s *Server) recordTokenLocked(tok uint64) {
-	if len(s.tokenLog) >= tokenRingSize {
-		delete(s.tokens, s.tokenLog[0])
-		s.tokenLog = s.tokenLog[1:]
-	}
-	s.tokens[tok] = struct{}{}
-	s.tokenLog = append(s.tokenLog, tok)
-}
-
 func (s *Server) commit(body []byte) (resp []byte, conflict bool, err error) {
 	req, err := decodeCommit(body)
 	if err != nil {
@@ -902,33 +893,84 @@ func (s *Server) commit(body []byte) (resp []byte, conflict bool, err error) {
 }
 
 // commitGrouped queues the request and blocks until a leader's batch
-// flush decides it. The first goroutine to find the queue idle becomes
-// the leader: it drains whatever has accumulated, runs the whole batch
-// under one store commit, and keeps draining until the queue is empty
-// before stepping down — so every commit that arrives while a flush is
-// in progress rides the next batch instead of fsyncing alone.
+// flush decides it. A goroutine that finds no leader, or is handed
+// leadership through its resp channel, leads one batch (leadBatch) and
+// then returns its own result: a leader's client waits out exactly one
+// flush, and a commit that arrives during a flush rides the next batch
+// instead of fsyncing alone.
 func (s *Server) commitGrouped(req *commitReq) commitResult {
 	job := &commitJob{req: req, resp: make(chan commitResult, 1)}
 	s.gcMu.Lock()
 	s.gcQueue = append(s.gcQueue, job)
 	if s.gcActive {
+		if s.gcWaiting && len(s.gcQueue) >= s.gcPeers {
+			select {
+			case s.gcWake <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		}
 		s.gcMu.Unlock()
+		if r := <-job.resp; !r.lead {
+			return r
+		}
 	} else {
 		s.gcActive = true
-		for {
-			batch := s.gcQueue
-			s.gcQueue = nil
-			if len(batch) == 0 {
-				s.gcActive = false
-				s.gcMu.Unlock()
-				break
-			}
-			s.gcMu.Unlock()
-			s.commitBatch(batch)
-			s.gcMu.Lock()
-		}
+		s.gcMu.Unlock()
 	}
+	s.leadBatch()
 	return <-job.resp
+}
+
+// leadBatch is one leader's tenure. While fewer jobs are queued than
+// the last flush saw committers, it waits for them, but no longer than
+// that flush took, and not past Shutdown; then it takes the queue,
+// flushes it as one batch, records what the flush saw, and hands
+// leadership to the first job that queued meanwhile, or steps down
+// when none did.
+func (s *Server) leadBatch() {
+	s.gcMu.Lock()
+	var wait time.Duration
+	if len(s.gcQueue) < s.gcPeers {
+		wait = s.gcLastFlush
+		s.gcWaiting = wait > 0
+	}
+	s.gcMu.Unlock()
+	if wait > 0 {
+		s.gcWaits.Add(1)
+		t := time.NewTimer(wait)
+		select {
+		case <-s.gcWake:
+		case <-t.C:
+		case <-s.closed:
+		}
+		t.Stop()
+	}
+
+	s.gcMu.Lock()
+	s.gcWaiting = false
+	select {
+	case <-s.gcWake: // sent after the timer won; drop it
+	default:
+	}
+	batch := s.gcQueue
+	s.gcQueue = nil
+	s.gcMu.Unlock()
+
+	start := time.Now()
+	s.commitBatch(batch)
+	took := time.Since(start)
+
+	s.gcMu.Lock()
+	s.gcLastFlush = took
+	s.gcPeers = len(batch) + len(s.gcQueue)
+	if len(s.gcQueue) == 0 {
+		s.gcActive = false
+		s.gcMu.Unlock()
+		return
+	}
+	next := s.gcQueue[0]
+	s.gcMu.Unlock()
+	next.resp <- commitResult{lead: true}
 }
 
 // commitBatch validates and applies a batch of queued transactions in
@@ -967,7 +1009,7 @@ func (s *Server) commitBatch(batch []*commitJob) {
 		req := job.req
 		// A token we have already applied means the client lost our
 		// acknowledgement and resent: answer OK again, apply nothing.
-		if req.token != 0 && s.tokenSeenLocked(req.token) {
+		if s.applied.Has(req.token) {
 			s.dupCommits.Add(1)
 			job.resp <- commitResult{seq: s.commitSeq.Load()} //hyperlint:allow lockorder -- resp is buffered with capacity 1 and gets exactly one response per job; the send cannot park
 			continue
@@ -1025,7 +1067,7 @@ func (s *Server) commitBatch(batch []*commitJob) {
 	s.versions[rootsVersionKey] += rootBumps
 	s.versionMu.Unlock()
 	for _, tok := range tokens {
-		s.recordTokenLocked(tok)
+		s.applied.Add(tok)
 	}
 	n := uint64(len(applied))
 	s.commits.Add(n)
@@ -1105,7 +1147,7 @@ func (s *Server) commitSerialized(req *commitReq) commitResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if req.token != 0 && s.tokenSeenLocked(req.token) {
+	if s.applied.Has(req.token) {
 		s.dupCommits.Add(1)
 		return commitResult{seq: s.commitSeq.Load()}
 	}
@@ -1139,9 +1181,7 @@ func (s *Server) commitSerialized(req *commitReq) commitResult {
 		s.versions[id]++
 	}
 	s.versionMu.Unlock()
-	if req.token != 0 {
-		s.recordTokenLocked(req.token)
-	}
+	s.applied.Add(req.token)
 	s.commits.Add(1)
 	s.commitSeq.Add(1)
 	s.gcFlushes.Add(1)
@@ -1165,31 +1205,13 @@ func (s *Server) commitCheck(body []byte) ([]byte, error) {
 	tok := binary.LittleEndian.Uint64(body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tokenSeenLocked(tok) {
+	if s.applied.Has(tok) {
 		return []byte{checkCommitted}, nil
 	}
-	if _, ok := s.abortedT[tok]; ok {
+	if s.aborted.Has(tok) {
 		return []byte{checkAborted}, nil
 	}
 	return []byte{checkUnknown}, nil
-}
-
-// recordAbortLocked remembers a durable abort decision, evicting the
-// oldest past the ring size. Callers hold s.mu (or run before the
-// server is shared).
-func (s *Server) recordAbortLocked(tok uint64) {
-	if tok == 0 {
-		return
-	}
-	if _, ok := s.abortedT[tok]; ok {
-		return
-	}
-	if len(s.abortedLog) >= abortRingSize {
-		delete(s.abortedT, s.abortedLog[0])
-		s.abortedLog = s.abortedLog[1:]
-	}
-	s.abortedT[tok] = struct{}{}
-	s.abortedLog = append(s.abortedLog, tok)
 }
 
 // overlapsPreparedLocked reports whether a request's footprint
@@ -1256,13 +1278,13 @@ func (s *Server) prepare(body []byte) (resp []byte, conflict bool, rerr error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tokenSeenLocked(req.token) {
+	if s.applied.Has(req.token) {
 		// Already decided commit (a resent prepare after a lost
 		// acknowledgement): the yes-vote stands.
 		s.dupCommits.Add(1)
 		return nil, false, nil
 	}
-	if _, ok := s.abortedT[req.token]; ok {
+	if s.aborted.Has(req.token) {
 		return nil, true, nil // already decided abort
 	}
 	if _, ok := s.prepared[req.token]; ok {
@@ -1337,7 +1359,7 @@ func (s *Server) decideLocked(tok uint64, commit bool) (resp []byte, conflict bo
 		// here: a coordinator presumes abort for transactions whose
 		// client vanished before staging anything, and an in-doubt
 		// participant polling later needs the definite answer.
-		if s.tokenSeenLocked(tok) {
+		if s.applied.Has(tok) {
 			return nil, false, fmt.Errorf("remote: decide abort for already-committed transaction %#x", tok)
 		}
 		if tp, ok := s.st.(twoPhaseStore); ok {
@@ -1349,16 +1371,16 @@ func (s *Server) decideLocked(tok uint64, commit bool) (resp []byte, conflict bo
 			delete(s.prepared, tok)
 			s.aborts.Add(1)
 		}
-		s.recordAbortLocked(tok)
+		s.aborted.Add(tok)
 		s.crossAborts.Add(1)
 		return nil, false, nil
 	}
-	if s.tokenSeenLocked(tok) {
+	if s.applied.Has(tok) {
 		// Resent decide after a lost acknowledgement.
 		s.dupCommits.Add(1)
 		return binary.LittleEndian.AppendUint64(nil, s.commitSeq.Load()), false, nil
 	}
-	if _, ok := s.abortedT[tok]; ok {
+	if s.aborted.Has(tok) {
 		return nil, true, nil // decided abort already; cannot commit
 	}
 	e := s.prepared[tok]
@@ -1403,7 +1425,7 @@ func (s *Server) decideLocked(tok uint64, commit bool) (resp []byte, conflict bo
 	}
 	s.versionMu.Unlock()
 	delete(s.prepared, tok)
-	s.recordTokenLocked(tok)
+	s.applied.Add(tok)
 	s.commits.Add(1)
 	s.commitSeq.Add(1)
 	s.crossCommits.Add(1)

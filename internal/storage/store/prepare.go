@@ -51,7 +51,7 @@ func (s *Store) seedRecovery(res *wal.ReplayResult) {
 	s.recovAborts = res.Aborted
 	s.recordTokensLocked(res.Tokens)
 	for _, tok := range res.Aborted {
-		s.recordAbortLocked(tok)
+		s.aborts.Add(tok)
 	}
 	for _, pt := range res.Prepared {
 		s.stashPreparedLocked(pt)
@@ -78,7 +78,7 @@ func (s *Store) Prepare(token uint64, images []PageImage, roots []RootUpdate, fr
 	if _, ok := s.prepared[token]; ok {
 		return nil
 	}
-	if _, ok := s.keepSet[token]; ok {
+	if s.keepTokens.Has(token) {
 		return nil
 	}
 	pt := &PreparedTxn{
@@ -126,11 +126,11 @@ func (s *Store) DecidePrepared(token uint64, commit bool) error {
 		if pt != nil {
 			s.dropPreparedLocked(token)
 		}
-		s.recordAbortLocked(token)
+		s.aborts.Add(token)
 		return nil
 	}
 	if pt == nil {
-		if _, ok := s.keepSet[token]; ok {
+		if s.keepTokens.Has(token) {
 			return nil // already applied
 		}
 		return fmt.Errorf("store: decide commit for unknown prepared transaction %#x", token)
@@ -225,45 +225,10 @@ func (s *Store) dropPreparedLocked(token uint64) {
 }
 
 // recordTokensLocked remembers applied commit tokens in the keep ring
-// when Options.TokenKeep asks for it.
+// (sized by Options.TokenKeep; zero keeps none).
 func (s *Store) recordTokensLocked(tokens []uint64) {
-	if s.opts.TokenKeep <= 0 {
-		return
-	}
 	for _, tok := range tokens {
-		if tok == 0 {
-			continue
-		}
-		if s.keepSet == nil {
-			s.keepSet = make(map[uint64]struct{})
-		}
-		if _, ok := s.keepSet[tok]; ok {
-			continue
-		}
-		s.keepSet[tok] = struct{}{}
-		s.keepTokens = append(s.keepTokens, tok)
-		if len(s.keepTokens) > s.opts.TokenKeep {
-			delete(s.keepSet, s.keepTokens[0])
-			s.keepTokens = append(s.keepTokens[:0], s.keepTokens[1:]...)
-		}
-	}
-}
-
-func (s *Store) recordAbortLocked(token uint64) {
-	if token == 0 {
-		return
-	}
-	if s.abortSet == nil {
-		s.abortSet = make(map[uint64]struct{})
-	}
-	if _, ok := s.abortSet[token]; ok {
-		return
-	}
-	s.abortSet[token] = struct{}{}
-	s.abortRing = append(s.abortRing, token)
-	if len(s.abortRing) > abortKeep {
-		delete(s.abortSet, s.abortRing[0])
-		s.abortRing = append(s.abortRing[:0], s.abortRing[1:]...)
+		s.keepTokens.Add(tok)
 	}
 }
 
@@ -287,12 +252,12 @@ func (s *Store) relogLocked() error {
 			return err
 		}
 	}
-	if len(s.keepTokens) > 0 {
-		if _, err := s.log.AppendCommitGroup(s.seq.Load(), s.keepTokens, true); err != nil {
+	if keep := s.keepTokens.Tokens(); len(keep) > 0 {
+		if _, err := s.log.AppendCommitGroup(s.seq.Load(), keep, true); err != nil {
 			return err
 		}
 	}
-	for _, tok := range s.abortRing {
+	for _, tok := range s.aborts.Tokens() {
 		if _, err := s.log.AppendDecideNoSync(tok, false); err != nil {
 			return err
 		}

@@ -56,12 +56,13 @@
 //
 // Group commit:
 //
-// Concurrent Commit/CommitTokens callers coalesce: the first caller
-// becomes the leader, absorbs every request queued behind it, writes
-// the combined dirty set plus one commit barrier to the WAL, and
-// amortizes a single fsync across the whole batch while the followers
-// block on the leader's flush. CommitStats reports how well batching
-// is amortizing flushes.
+// The store has one writer (writeMu), so it never sees two commits at
+// once. Batching lives one tier up: the page server's group-commit
+// leader applies a batch of client transactions and retires it with
+// one CommitTokens call, which writes the combined dirty set plus one
+// commit barrier carrying every transaction's token to the WAL under a
+// single fsync. CommitStats reports how well batching is amortizing
+// flushes.
 package store
 
 import (
@@ -237,12 +238,6 @@ type Store struct {
 	ring    atomic.Pointer[[]*version]
 	ringCap int
 
-	// Group-commit queue: concurrent committers enqueue; the first
-	// becomes leader and flushes the whole batch under one fsync.
-	gcMu     sync.Mutex
-	gcQueue  []*gcWaiter
-	gcActive bool
-
 	// Commit batching counters (see CommitStats).
 	txnCommits   atomic.Uint64
 	flushes      atomic.Uint64
@@ -254,17 +249,15 @@ type Store struct {
 	recovered bool // recovery ran at open (for tests/diagnostics)
 
 	// Two-phase commit state (see prepare.go). prepared holds
-	// transactions that voted yes but have no decision; keepTokens is
-	// the ring of recently applied commit tokens re-logged across
-	// checkpoints (Options.TokenKeep); abortRing is the bounded memory
-	// of durable abort decisions. All guarded by writeMu; the recov*
+	// transactions that voted yes but have no decision; keepTokens
+	// holds the recently applied commit tokens re-logged across
+	// checkpoints (Options.TokenKeep); aborts is the bounded memory of
+	// durable abort decisions. All guarded by writeMu; the recov*
 	// slices are written once at Open and read-only afterwards.
 	prepared    map[uint64]*PreparedTxn
 	prepOrder   []uint64
-	keepTokens  []uint64
-	keepSet     map[uint64]struct{}
-	abortRing   []uint64
-	abortSet    map[uint64]struct{}
+	keepTokens  *TokenSet
+	aborts      *TokenSet
 	recovTokens []uint64
 	recovAborts []uint64
 }
@@ -278,15 +271,6 @@ type version struct {
 	seq    uint64
 	meta   *page.Page
 	before map[page.ID]*page.Page
-}
-
-// gcWaiter is one queued commit request: the transaction tokens it
-// carries (empty for anonymous local commits) and the channel its
-// caller blocks on until a leader's flush covers it.
-type gcWaiter struct {
-	tokens []uint64
-	txns   uint64
-	ch     chan error
 }
 
 // Stats is a snapshot of store activity counters.
@@ -331,7 +315,7 @@ func Open(path string, opts *Options) (*Store, error) {
 		pg.Close()
 		return nil, err
 	}
-	s := &Store{pg: pg, log: log, opts: o}
+	s := &Store{pg: pg, log: log, opts: o, keepTokens: NewTokenSet(o.TokenKeep), aborts: NewTokenSet(abortKeep)}
 	s.pool = buffer.New(s.opts.PoolPages)
 	s.ringCap = s.opts.VersionRing
 	empty := []*version{}
@@ -573,11 +557,14 @@ func (s *Store) SetRoot(slot int, id page.ID) {
 // page images go to the WAL, a commit record is appended and synced,
 // then the images are written back to the main file (unsynced), fresh
 // committed snapshots are installed for readers, and the frames marked
-// clean. Concurrent callers coalesce into group commits: the first
-// becomes the leader and flushes every request queued behind it under
-// a single fsync.
+// clean. Commits serialize on the writer lock like every other
+// mutation; batching concurrent transactions under one flush is the
+// page server's job (its group-commit leader calls CommitTokens once
+// per batch).
 func (s *Store) Commit() error {
-	return s.groupCommit(nil, 1)
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.commitLocked(nil, 1)
 }
 
 // CommitTokens is Commit for a leader acting on behalf of a batch of
@@ -590,52 +577,15 @@ func (s *Store) CommitTokens(tokens []uint64) error {
 	if txns == 0 {
 		txns = 1
 	}
-	return s.groupCommit(tokens, txns)
-}
-
-// groupCommit enqueues one commit request and either waits for an
-// active leader's flush to cover it or becomes the leader and drains
-// the queue itself, batch by batch, until it is empty.
-func (s *Store) groupCommit(tokens []uint64, txns uint64) error {
-	w := &gcWaiter{tokens: tokens, txns: txns, ch: make(chan error, 1)}
-	s.gcMu.Lock()
-	s.gcQueue = append(s.gcQueue, w)
-	if s.gcActive {
-		s.gcMu.Unlock()
-		return <-w.ch
-	}
-	s.gcActive = true
-	for {
-		batch := s.gcQueue
-		s.gcQueue = nil
-		if len(batch) == 0 {
-			s.gcActive = false
-			s.gcMu.Unlock()
-			break
-		}
-		s.gcMu.Unlock()
-
-		var toks []uint64
-		var n uint64
-		for _, b := range batch {
-			toks = append(toks, b.tokens...)
-			n += b.txns
-		}
-		s.writeMu.Lock()
-		err := s.commitLocked(toks, n)
-		s.writeMu.Unlock()
-		for _, b := range batch {
-			b.ch <- err
-		}
-		s.gcMu.Lock()
-	}
-	return <-w.ch
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.commitLocked(tokens, txns)
 }
 
 // commitLocked flushes the current dirty set as one commit covering
-// txns transactions identified by tokens (both may describe a batch
-// when a group-commit leader is calling). Direct callers that are not
-// leaders (Checkpoint, Backup, Close) pass nil, 1.
+// txns transactions identified by tokens (both describe a batch when
+// the page server's group-commit leader is calling). Checkpoint,
+// Backup and Close pass nil, 1.
 func (s *Store) commitLocked(tokens []uint64, txns uint64) error {
 	err := s.flushLocked(txns, func(newSeq uint64) error {
 		if len(tokens) > 0 {
